@@ -13,7 +13,7 @@ from .double import (DoubleAlgebra, bivector_from_lagrangian, build_double,
                      is_lagrangian, is_subalgebra, lagrangian_from_bivector,
                      q_form)
 from .homogeneous import (DatumReport, HomDatum, ad_stable_direct,
-                          dirac_subspace, is_quasi_poisson_datum, obstruction,
+                          is_quasi_poisson_datum, obstruction,
                           stability_residuals)
 from .twisting import (TwistReport, check_twist_iso, compose_twists,
                        f_r_matrix, twist, twist_datum, twist_equations)

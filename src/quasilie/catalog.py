@@ -20,9 +20,9 @@ import numpy as np
 from .double import certify_bracket_map, certify_form_map
 from .homogeneous import HomDatum
 from .liealg import (Cocycle, LieAlgebra, QuasiBialgebra, Verdict,
-                     closed_under_bracket, cyb_components)
+                     closed_under_bracket, cyb_components, residual_verdict)
 from .subspace import Subspace, rref, solve_exact
-from .tensor import Tensor, ONE, as_rational, rarray, rzeros
+from .tensor import Tensor, ONE, as_rational, rarray, reye, rzeros
 
 HALF = Fraction(1, 2)
 
@@ -60,15 +60,11 @@ class QuadraticLieAlgebra:
         if (b != b.T).any():
             raise ValueError("form is not symmetric")
         t = np.tensordot(algebra.c, b, axes=(2, 0))
-        res = t + np.transpose(t, (0, 2, 1))
-        if res.any():
-            idx = next(i for i in np.ndindex(res.shape) if res[i])
-            raise ValueError("form is not invariant at basis triple %s" % (idx,))
-        eye = rzeros((n, n))
-        for i in range(n):
-            eye[i, i] = ONE
+        witness = residual_verdict(t + np.transpose(t, (0, 2, 1))).witness
+        if witness is not None:
+            raise ValueError("form is not invariant at basis triple %s" % (witness,))
         try:
-            self.b_inv = solve_exact(b, eye)
+            self.b_inv = solve_exact(b, reye(n))
         except ValueError:
             raise ValueError("form is degenerate") from None
         self.algebra = algebra
@@ -89,10 +85,7 @@ def sl2_trace_form() -> QuadraticLieAlgebra:
 
 
 def so3_standard_form() -> QuadraticLieAlgebra:
-    b = rzeros((3, 3))
-    for i in range(3):
-        b[i, i] = ONE
-    return QuadraticLieAlgebra(so3(), b)
+    return QuadraticLieAlgebra(so3(), reye(3))
 
 
 def manin_quasi_triple(q: QuadraticLieAlgebra) -> QuasiBialgebra:
@@ -124,11 +117,7 @@ def product_algebra(q: QuadraticLieAlgebra):
 
 
 def diagonal_subspace(n: int) -> Subspace:
-    rows = rzeros((n, 2 * n))
-    for i in range(n):
-        rows[i, i] = ONE
-        rows[i, n + i] = ONE
-    return Subspace(2 * n, rows)
+    return Subspace(2 * n, np.hstack([reye(n), reye(n)]))
 
 
 @dataclass
@@ -155,12 +144,7 @@ def product_double_model(q: QuadraticLieAlgebra) -> ProductModelReport:
     n = g.dim
     dbl = build_double(manin_quasi_triple(q))
     prod, form = product_algebra(q)
-    psi = rzeros((2 * n, 2 * n))
-    for i in range(n):
-        psi[i, i] = ONE
-        psi[n + i, i] = ONE
-        psi[:n, n + i] = q.b_inv[:, i]
-        psi[n:, n + i] = -q.b_inv[:, i]
+    psi = np.block([[reye(n), q.b_inv], [reye(n), -q.b_inv]])
     bracket_ok = certify_bracket_map(dbl.algebra, prod, psi)
     form_ok = certify_form_map(dbl.q, form, psi)
     image_of_g = Subspace(2 * n, [psi[:, i] for i in range(n)])
@@ -173,11 +157,7 @@ def graph_subspace(a: np.ndarray) -> Subspace:
     """{(x, Ax)} inside g x g, with no validation of A."""
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
-    rows = rzeros((n, 2 * n))
-    for i in range(n):
-        rows[i, i] = ONE
-        rows[i, n:] = a[:, i]
-    return Subspace(2 * n, rows)
+    return Subspace(2 * n, np.hstack([reye(n), a.T]))
 
 
 def is_automorphism(g: LieAlgebra, a: np.ndarray) -> Verdict:
@@ -186,14 +166,7 @@ def is_automorphism(g: LieAlgebra, a: np.ndarray) -> Verdict:
     _, pivots = rref(a)
     if len(pivots) < g.dim:
         return Verdict(False, witness=(), residual=None)
-    lhs = np.tensordot(g.c, a, axes=(2, 1))
-    u = np.tensordot(a, g.c, axes=(0, 0))
-    rhs = np.transpose(np.tensordot(a, u, axes=(0, 1)), (1, 0, 2))
-    res = lhs - rhs
-    if res.any():
-        idx = next(i for i in np.ndindex(res.shape[:2]) if res[i].any())
-        return Verdict(False, witness=idx, residual=res[idx])
-    return Verdict(True)
+    return certify_bracket_map(g, g, a)
 
 
 def is_b_orthogonal(q: QuadraticLieAlgebra, a: np.ndarray) -> bool:
@@ -205,10 +178,7 @@ def fixed_point_diagonal(a: np.ndarray) -> Subspace:
     """{(x, x) : Ax = x} as a subspace of g x g."""
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
-    shifted = a.copy()
-    for i in range(n):
-        shifted[i, i] = shifted[i, i] - ONE
-    fixed = Subspace.kernel(shifted)
+    fixed = Subspace.kernel(a - reye(n))
     rows = [np.concatenate([fixed.rows[i], fixed.rows[i]]) for i in range(fixed.dim)]
     return Subspace(2 * n, rows)
 
@@ -313,14 +283,8 @@ def builtin(name: str) -> CatalogEntry:
         if n >= 1:
             subs.append(_span([[1] + [0] * (n - 1)], n))
         if n >= 2:
-            rows = rzeros((2, n))
-            rows[0, 0] = ONE
-            rows[1, 1] = ONE
-            subs.append(Subspace(n, rows))
-            v = rzeros((n,))
-            v[0] = ONE
-            v[1] = ONE
-            subs.append(Subspace(n, [v]))
+            subs.append(Subspace(n, reye(n)[:2]))
+            subs.append(_span([[1, 1] + [0] * (n - 2)], n))
         qb = QuasiBialgebra(g, Cocycle.zero(g), Tensor.zero(n, 3))
         return CatalogEntry(name, qb, _standard_datums(qb), subs)
 

@@ -16,9 +16,8 @@ import time
 from pathlib import Path
 
 from . import catalog, serialize
-from .double import build_double, check_double_axioms, is_subalgebra
-from .homogeneous import (dirac_span, is_quasi_poisson_datum, obstruction,
-                          stability_residuals)
+from .double import build_double, check_double_axioms
+from .homogeneous import is_quasi_poisson_datum
 from .liealg import axiom_report
 from .twisting import check_twist_iso, twist_equations
 
@@ -111,12 +110,10 @@ def cmd_classify(args) -> int:
         "datum": (args.datum_file, _digest(datum_raw)),
     })
     report["report"] = rep.as_dict()
-    report["obstruction"] = serialize.tensor_to_entries(obstruction(datum))
+    report["obstruction"] = serialize.tensor_to_entries(rep.obstruction)
     report["stability_residuals"] = [serialize.tensor_to_entries(t)
-                                     for t in stability_residuals(datum)]
-    dbl = build_double(datum.qb)
-    report["subalgebra_witness"] = serialize.verdict_to_dict(
-        is_subalgebra(dbl, dirac_span(datum)))
+                                     for t in rep.residuals]
+    report["subalgebra_witness"] = serialize.verdict_to_dict(rep.span_closure)
     report["verdict"] = "pass" if rep.verdict else "fail"
     return _emit(args, report, PASS if rep.verdict else FAIL)
 

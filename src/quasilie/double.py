@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .liealg import (LieAlgebra, QuasiBialgebra, Verdict, check_jacobi,
-                     closed_under_bracket)
+                     closed_under_bracket, residual_verdict)
 from .subspace import Subspace, solve_exact
-from .tensor import Tensor, ONE, rzeros
+from .tensor import Tensor, reye, rzeros
 
 
 class DoubleAlgebra:
@@ -36,16 +36,10 @@ class DoubleAlgebra:
         return self.algebra.dim
 
     def g_subspace(self) -> Subspace:
-        rows = rzeros((self.n, self.dim))
-        for i in range(self.n):
-            rows[i, i] = ONE
-        return Subspace(self.dim, rows)
+        return Subspace(self.dim, reye(self.dim)[:self.n])
 
     def dual_subspace(self) -> Subspace:
-        rows = rzeros((self.n, self.dim))
-        for i in range(self.n):
-            rows[i, self.n + i] = ONE
-        return Subspace(self.dim, rows)
+        return Subspace(self.dim, reye(self.dim)[self.n:])
 
     def embed_g(self, vector) -> np.ndarray:
         out = rzeros((self.dim,))
@@ -74,9 +68,7 @@ def build_double(qb: QuasiBialgebra) -> DoubleAlgebra:
     full[n:, :n, :n] = -np.transpose(full[:n, n:, :n], (1, 0, 2))
     full[n:, :n, n:] = -np.transpose(full[:n, n:, n:], (1, 0, 2))
     q = rzeros((2 * n, 2 * n))
-    for i in range(n):
-        q[i, n + i] = ONE
-        q[n + i, i] = ONE
+    q[:n, n:] = q[n:, :n] = reye(n)
     labels = list(qb.algebra.labels) + [lab + "*" for lab in qb.algebra.labels]
     return DoubleAlgebra(qb, LieAlgebra(full, labels=labels), q)
 
@@ -104,12 +96,7 @@ def check_double_axioms(dbl: DoubleAlgebra) -> DoubleAxiomReport:
     """Jacobi plus Q([x,y],z) + Q(y,[x,z]) = 0 at every basis triple."""
     jac = check_jacobi(dbl.algebra)
     qc = np.tensordot(dbl.algebra.c, dbl.q, axes=(2, 0))   # Q([e_a,e_b], e_c)
-    res = qc + np.transpose(qc, (0, 2, 1))
-    if res.any():
-        idx = next(idx for idx in np.ndindex(res.shape) if res[idx])
-        qv = Verdict(False, witness=idx, residual=res[idx])
-    else:
-        qv = Verdict(True)
+    qv = residual_verdict(qc + np.transpose(qc, (0, 2, 1)))
     return DoubleAxiomReport(jacobi=jac, q_invariance=qv)
 
 
@@ -139,11 +126,8 @@ def lagrangian_from_bivector(dbl: DoubleAlgebra, r: Tensor) -> Subspace:
         raise ValueError("expected a bivector over g")
     if not (r.antisymmetric or r.is_antisymmetric()):
         raise ValueError("bivector must be antisymmetric")
-    rows = rzeros((n, 2 * n))
-    for i in range(n):
-        rows[i, :n] = r.data[i]          # (e^i (x) id) r
-        rows[i, n + i] = ONE
-    sub = Subspace(2 * n, rows)
+    # row i is (e^i (x) id) r + e^i
+    sub = Subspace(2 * n, np.hstack([r.data, reye(n)]))
     assert is_lagrangian(dbl, sub)
     assert intersect_with_g(dbl, sub).dim == 0
     return sub
@@ -154,20 +138,12 @@ def certify_bracket_map(src: LieAlgebra, dst: LieAlgebra, m: np.ndarray) -> Verd
     lhs = np.tensordot(src.c, m, axes=(2, 1))
     u = np.tensordot(m, dst.c, axes=(0, 0))
     rhs = np.transpose(np.tensordot(m, u, axes=(0, 1)), (1, 0, 2))
-    res = lhs - rhs
-    if res.any():
-        idx = next(i for i in np.ndindex(res.shape[:2]) if res[i].any())
-        return Verdict(False, witness=idx, residual=res[idx])
-    return Verdict(True)
+    return residual_verdict(lhs - rhs, lead=2)
 
 
 def certify_form_map(q_src: np.ndarray, q_dst: np.ndarray, m: np.ndarray) -> Verdict:
     """q_dst(m u, m v) = q_src(u, v)."""
-    res = m.T @ q_dst @ m - q_src
-    if res.any():
-        idx = next(i for i in np.ndindex(res.shape) if res[i])
-        return Verdict(False, witness=idx, residual=res[idx])
-    return Verdict(True)
+    return residual_verdict(m.T @ q_dst @ m - q_src)
 
 
 def intersect_with_g(dbl: DoubleAlgebra, sub: Subspace) -> Subspace:

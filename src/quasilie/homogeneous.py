@@ -60,16 +60,6 @@ def dirac_span(d: HomDatum) -> Subspace:
     return Subspace(2 * n, rows)
 
 
-def dirac_subspace(d: HomDatum, dbl: DoubleAlgebra | None = None) -> Subspace:
-    if not h_subalgebra(d).ok:
-        raise ValueError("h not a subalgebra")
-    dbl = dbl if dbl is not None else build_double(d.qb)
-    sub = dirac_span(d)
-    assert is_lagrangian(dbl, sub)
-    assert intersect_with_g(dbl, sub) == d.h
-    return sub
-
-
 def obstruction(d: HomDatum) -> Tensor:
     """Image of phi - CYB(r) + (1/2) Alt(delta (x) id) r in the exterior
     cube of g/h."""
@@ -105,11 +95,29 @@ def ad_stable_direct(d: HomDatum, dbl: DoubleAlgebra | None = None) -> bool:
 
 @dataclass
 class DatumReport:
+    """The classification of one datum, together with the objects its
+    checks were read from: the double, the Dirac span L, the obstruction,
+    the stability residuals and the closure verdict of L."""
+
+    double: DoubleAlgebra
+    span: Subspace
     h_subalgebra: bool
-    stable: bool
-    obstruction_zero: bool
+    residuals: list[Tensor]
+    obstruction: Tensor
     lagrangian: bool
-    subalgebra: bool
+    span_closure: Verdict
+
+    @property
+    def stable(self) -> bool:
+        return all(t.is_zero() for t in self.residuals)
+
+    @property
+    def obstruction_zero(self) -> bool:
+        return self.obstruction.is_zero()
+
+    @property
+    def subalgebra(self) -> bool:
+        return self.span_closure.ok
 
     @property
     def verdict(self) -> bool:
@@ -133,9 +141,11 @@ def is_quasi_poisson_datum(d: HomDatum, dbl: DoubleAlgebra | None = None) -> Dat
     dbl = dbl if dbl is not None else build_double(d.qb)
     sub = dirac_span(d)
     return DatumReport(
+        double=dbl,
+        span=sub,
         h_subalgebra=h_subalgebra(d).ok,
-        stable=all(t.is_zero() for t in stability_residuals(d)),
-        obstruction_zero=obstruction(d).is_zero(),
+        residuals=stability_residuals(d),
+        obstruction=obstruction(d),
         lagrangian=is_lagrangian(dbl, sub) and intersect_with_g(dbl, sub) == d.h,
-        subalgebra=is_subalgebra(dbl, sub).ok,
+        span_closure=is_subalgebra(dbl, sub),
     )

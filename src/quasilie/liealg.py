@@ -28,6 +28,17 @@ class Verdict:
         return self.ok
 
 
+def residual_verdict(res: np.ndarray, lead: int | None = None) -> Verdict:
+    """Verdict on `res == 0`.  On failure the witness is the first index,
+    in row-major order over the leading `lead` axes (all by default), at
+    which `res` is nonzero, and the residual is `res` at that index."""
+    if not res.any():
+        return Verdict(True)
+    shape = res.shape if lead is None else res.shape[:lead]
+    idx = next(i for i in np.ndindex(shape) if np.any(res[i]))
+    return Verdict(False, witness=idx, residual=res[idx])
+
+
 class LieAlgebra:
     __slots__ = ("dim", "c", "labels")
 
@@ -36,10 +47,9 @@ class LieAlgebra:
         n = c.shape[0]
         if c.shape != (n, n, n):
             raise ValueError("structure constants must be an n^3 cube")
-        skew = c + np.transpose(c, (1, 0, 2))
-        if skew.any():
-            i, j, k = next(idx for idx in np.ndindex(c.shape) if skew[idx])
-            raise ValueError("structure constants not antisymmetric at (%d,%d,%d)" % (i, j, k))
+        witness = residual_verdict(c + np.transpose(c, (1, 0, 2))).witness
+        if witness is not None:
+            raise ValueError("structure constants not antisymmetric at (%d,%d,%d)" % witness)
         self.dim = n
         self.c = c
         self.labels = list(labels) if labels is not None else ["e%d" % i for i in range(n)]
@@ -82,16 +92,9 @@ def check_jacobi(g: LieAlgebra) -> Verdict:
     """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0."""
     t1 = np.tensordot(g.c, g.c, axes=(2, 0))   # t1[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]
     jac = t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))
-    if not jac.any():
-        return Verdict(True)
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if jac[i, j, k].any():
-                    return Verdict(False, witness=(i, j, k), residual=jac[i, j, k])
-    # antisymmetry makes any remaining violation impossible
-    raise AssertionError("jacobi residual without an i<j<k witness")
+    # jac is totally antisymmetric in (i, j, k), so its first nonzero
+    # triple in row-major order is strictly increasing
+    return residual_verdict(jac, lead=3)
 
 
 def closed_under_bracket(g: LieAlgebra, rows) -> Verdict:
@@ -140,10 +143,9 @@ class Cocycle:
         n = algebra.dim
         if d.shape != (n, n, n):
             raise ValueError("cocycle data must be an n^3 cube")
-        skew = d + np.transpose(d, (0, 2, 1))
-        if skew.any():
-            idx = next(idx for idx in np.ndindex(d.shape) if skew[idx])
-            raise ValueError("cocycle image not antisymmetric at %s" % (idx,))
+        witness = residual_verdict(d + np.transpose(d, (0, 2, 1))).witness
+        if witness is not None:
+            raise ValueError("cocycle image not antisymmetric at %s" % (witness,))
         self.algebra = algebra
         self.d = d
 
@@ -245,8 +247,7 @@ def check_quasi_cojacobi(qb: QuasiBialgebra) -> Verdict:
     g, d = qb.algebra, qb.delta.d
     n = g.dim
     for i in range(n):
-        t = np.transpose(np.tensordot(d[i], d, axes=(0, 0)), (1, 2, 0))
-        lhs = HALF * alt_components(t)
+        lhs = half_alt_delta_components(d, d[i])
         rhs = ad_tensor_components(g.c, Tensor.basis(n, i).data, qb.phi.data)
         res = lhs - rhs
         if res.any():
@@ -258,10 +259,8 @@ def check_pentagon(qb: QuasiBialgebra) -> Verdict:
     """Alt(delta (x) id (x) id) phi = 0."""
     t = np.tensordot(qb.delta.d, qb.phi.data, axes=(0, 0))  # [a,b,j,k]
     res = alt_components(t)
-    if res.any():
-        idx = next(idx for idx in np.ndindex(res.shape) if res[idx])
-        return Verdict(False, witness=idx, residual=res)
-    return Verdict(True)
+    v = residual_verdict(res)
+    return v if v.ok else Verdict(False, witness=v.witness, residual=res)
 
 
 def axiom_report(qb: QuasiBialgebra) -> dict:
@@ -293,13 +292,9 @@ def cyb(g: LieAlgebra, r: Tensor) -> Tensor:
     """Classical Yang-Baxter expression of a bivector, as a 3-tensor."""
     if r.dim != g.dim or r.degree != 2:
         raise ValueError("cyb expects a degree-2 tensor over g")
-    data = cyb_components(g.c, r.data)
-    antisym = False
-    if r.antisymmetric or r.is_antisymmetric():
-        probe = Tensor(g.dim, data)
-        assert probe.is_antisymmetric(), "cyb of an antisymmetric bivector must be antisymmetric"
-        antisym = True
-    return Tensor(g.dim, data, antisymmetric=antisym)
+    # antisymmetry of r and of the bracket alone make CYB(r) antisymmetric
+    return Tensor(g.dim, cyb_components(g.c, r.data),
+                  antisymmetric=r.antisymmetric or r.is_antisymmetric())
 
 
 def half_alt_delta_components(d: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import Tensor, ONE, apply_linear, as_rational, rzeros
+from .tensor import Tensor, ONE, apply_linear, as_rational, reye, rzeros
 
 
 def rref(mat: np.ndarray):
@@ -73,10 +73,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        eye = rzeros((ambient, ambient))
-        for i in range(ambient):
-            eye[i, i] = ONE
-        return cls(ambient, eye)
+        return cls(ambient, reye(ambient))
 
     @classmethod
     def kernel(cls, mat) -> "Subspace":

@@ -33,6 +33,13 @@ def rzeros(shape) -> np.ndarray:
     return a
 
 
+def reye(n: int) -> np.ndarray:
+    """n x n identity with `Fraction` entries."""
+    a = rzeros((n, n))
+    np.fill_diagonal(a, ONE)
+    return a
+
+
 def rarray(data) -> np.ndarray:
     a = np.array(data, dtype=object)
     flat = a.reshape(-1)

@@ -18,12 +18,11 @@ import numpy as np
 
 from .double import (DoubleAlgebra, build_double, certify_bracket_map,
                      certify_form_map)
-from .homogeneous import HomDatum, dirac_span, is_quasi_poisson_datum
-from .liealg import (Cocycle, QuasiBialgebra, Verdict, ad_tensor_components,
-                     cyb, cyb_components, half_alt_delta,
-                     half_alt_delta_components)
+from .homogeneous import HomDatum, is_quasi_poisson_datum
+from .liealg import (Cocycle, QuasiBialgebra, Verdict, cyb, cyb_components,
+                     half_alt_delta, half_alt_delta_components)
 from .subspace import Subspace
-from .tensor import Tensor, ONE, as_rational, rzeros
+from .tensor import Tensor, as_rational, reye
 
 
 def twist(qb: QuasiBialgebra, r: Tensor) -> QuasiBialgebra:
@@ -34,9 +33,7 @@ def twist(qb: QuasiBialgebra, r: Tensor) -> QuasiBialgebra:
         raise ValueError("twist expects a bivector over g")
     if not (r.antisymmetric or r.is_antisymmetric()):
         raise ValueError("twist bivector must be antisymmetric")
-    d_new = rzeros((n, n, n))
-    for i in range(n):
-        d_new[i] = qb.delta.d[i] + ad_tensor_components(g.c, Tensor.basis(n, i).data, r.data)
+    d_new = qb.delta.d + Cocycle.coboundary(g, r).d
     phi_new = qb.phi + half_alt_delta(qb.delta, r) - cyb(g, r)
     return QuasiBialgebra(g, Cocycle(g, d_new), phi_new)
 
@@ -45,9 +42,7 @@ def f_r_matrix(qb: QuasiBialgebra, r: Tensor) -> np.ndarray:
     """Unipotent block matrix [[I, R], [0, I]] in (g, g*) coordinates,
     where R sends a covector l to (id (x) l) r."""
     n = qb.dim
-    m = rzeros((2 * n, 2 * n))
-    for i in range(2 * n):
-        m[i, i] = ONE
+    m = reye(2 * n)
     m[:n, n:] = r.data
     return m
 
@@ -57,11 +52,7 @@ def certify_double_map(src: DoubleAlgebra, dst: DoubleAlgebra, m: np.ndarray):
     every element of g.  Returns three verdicts."""
     bracket = certify_bracket_map(src.algebra, dst.algebra, m)
     form = certify_form_map(src.q, dst.q, m)
-    n = src.n
-    block = m[:, :n].copy()
-    for i in range(n):
-        block[i, i] = block[i, i] - ONE
-    fixes = Verdict(True) if not block.any() else Verdict(False)
+    fixes = Verdict(not (m[:, :src.n] - reye(src.dim)[:, :src.n]).any())
     return bracket, form, fixes
 
 
@@ -120,11 +111,11 @@ def twist_datum(d: HomDatum, r: Tensor) -> HomDatum:
     The double isomorphism must carry the old Lagrangian onto the new
     one, and the classification verdict must be preserved."""
     new = HomDatum(twist(d.qb, r), d.h, d.r - r)
+    old, moved = is_quasi_poisson_datum(d), is_quasi_poisson_datum(new)
     m = f_r_matrix(d.qb, r)
-    old_rows = dirac_span(d).rows
-    moved = Subspace(2 * d.qb.dim, [m @ old_rows[i] for i in range(old_rows.shape[0])])
-    assert moved == dirac_span(new), "twist must carry the Lagrangian onto its transport"
-    assert is_quasi_poisson_datum(d).verdict == is_quasi_poisson_datum(new).verdict
+    image = Subspace(2 * d.qb.dim, [m @ row for row in old.span.rows])
+    assert image == moved.span, "twist must carry the Lagrangian onto its transport"
+    assert old.verdict == moved.verdict
     return new
 
 

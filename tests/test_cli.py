@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import quasilie.catalog as catalog
+import quasilie.cli as cli
+import quasilie.homogeneous as homogeneous
 from quasilie.cli import main
 from quasilie.serialize import dumps_canonical, qb_to_dict
 
@@ -113,6 +115,26 @@ def test_classify_manin_zero_datum_fails_with_obstruction(capsys):
     assert rep["stability_residuals"] == []   # h = 0: nothing to stabilize
     witness = rep["subalgebra_witness"]
     assert witness["ok"] is False and witness["witness"] and witness["residual"]
+
+
+def test_classify_builds_each_certificate_once(monkeypatch, capsys):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_double", "dirac_span", "obstruction"):
+        wrapper = counting(name, getattr(homogeneous, name))
+        monkeypatch.setattr(homogeneous, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+    code, _, _ = run_cli(capsys, "classify", fixture("aff1.json"),
+                         fixture("aff1_line_y.datum.json"))
+    assert code == 0
+    assert calls == {"build_double": 1, "dirac_span": 1, "obstruction": 1}
 
 
 def test_classify_rejects_mismatched_inline_algebra(tmp_path, capsys):

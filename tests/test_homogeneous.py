@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from quasilie.catalog import builtin
 from quasilie.double import build_double, is_subalgebra, q_form
 from quasilie.homogeneous import (HomDatum, ad_stable_direct, dirac_span,
-                                  dirac_subspace, is_quasi_poisson_datum,
-                                  obstruction, stability_residuals)
+                                  is_quasi_poisson_datum, obstruction,
+                                  stability_residuals)
 from quasilie.liealg import cyb, half_alt_delta
+from quasilie.serialize import verdict_to_dict
 from quasilie.subspace import Subspace, annihilator, project_quotient
 from quasilie.tensor import Tensor, rarray
 
@@ -21,7 +21,9 @@ def test_dirac_point_space_is_g():
     entry = builtin("sl2_coboundary")
     d = entry.datums["point"]
     dbl = build_double(entry.algebra)
-    assert dirac_subspace(d, dbl) == dbl.g_subspace()
+    assert dirac_span(d) == dbl.g_subspace()
+    rep = is_quasi_poisson_datum(d, dbl)
+    assert rep.h_subalgebra and rep.lagrangian and rep.span == dirac_span(d)
 
 
 def test_dirac_transversal_case_matches_graph():
@@ -32,7 +34,7 @@ def test_dirac_transversal_case_matches_graph():
     for _ in range(20):
         r = rand_antisym(rng, 3)
         d = HomDatum(entry.algebra, Subspace.zero(3), r)
-        assert dirac_subspace(d, dbl) == lagrangian_from_bivector(dbl, r)
+        assert dirac_span(d) == lagrangian_from_bivector(dbl, r)
 
 
 def test_dirac_depends_only_on_class_of_r():
@@ -48,14 +50,6 @@ def test_dirac_depends_only_on_class_of_r():
         d2 = HomDatum(entry.algebra, h, Tensor(3, r.data + pert))
         assert dirac_span(d) == dirac_span(d2)
         assert obstruction(d) == obstruction(d2)
-
-
-def test_dirac_rejects_non_subalgebra():
-    entry = builtin("sl2_coboundary")
-    bad = Subspace(3, rarray([[1, 0, 0], [0, 0, 1]]))  # span(e, f), not closed
-    d = HomDatum(entry.algebra, bad, Tensor.zero(3, 2))
-    with pytest.raises(ValueError, match="not a subalgebra"):
-        dirac_subspace(d)
 
 
 def test_obstruction_examples():
@@ -169,6 +163,20 @@ def test_sl2_span_h_datum_verdict_matches_direct_closure():
     assert rep.subalgebra == is_subalgebra(dbl, dirac_span(d)).ok
     assert rep.verdict == (rep.h_subalgebra and rep.stable and rep.lagrangian
                            and rep.subalgebra)
+
+
+def test_report_carries_the_standalone_certificates(catalog_entries):
+    rng = random.Random(50)
+    for entry in catalog_entries:
+        qb, n = entry.algebra, entry.algebra.dim
+        for _ in range(4):
+            d = HomDatum(qb, rng.choice(entry.subalgebras), rand_antisym(rng, n))
+            rep = is_quasi_poisson_datum(d)
+            assert rep.obstruction == obstruction(d)
+            assert rep.residuals == stability_residuals(d)
+            assert rep.span == dirac_span(d)
+            assert (verdict_to_dict(rep.span_closure)
+                    == verdict_to_dict(is_subalgebra(build_double(qb), dirac_span(d))))
 
 
 def test_subalgebra_iff_obstruction_vanishes_on_stable_data():

@@ -225,6 +225,14 @@ def test_cyb_antisymmetry_and_scaling():
             assert cyb(g, -r) == out
             c = rand_frac(rng)
             assert cyb(g, c * r) == (c * c) * out
+    # the flag rests on antisymmetry of r and of the bracket, not on Jacobi
+    entries = [(i, j, k, rand_frac(rng)) for i in range(4) for j in range(i + 1, 4)
+               for k in range(4)]
+    g = LieAlgebra.from_brackets(4, entries)
+    assert not check_jacobi(g).ok
+    for _ in range(10):
+        out = cyb(g, rand_antisym(rng, 4))
+        assert out.antisymmetric and out.is_antisymmetric()
 
 
 def test_half_alt_delta_oracle_and_tau_identity():
