@@ -19,7 +19,7 @@ import numpy as np
 
 from .double import certify_bracket_map, certify_form_map
 from .homogeneous import HomDatum
-from .liealg import (Cocycle, LieAlgebra, QuasiBialgebra, Verdict,
+from .liealg import (MAX_DIM, Cocycle, LieAlgebra, QuasiBialgebra, Verdict,
                      closed_under_bracket, cyb_components, residual_verdict)
 from .subspace import Subspace, rref, solve_exact
 from .tensor import Tensor, ONE, as_rational, rarray, reye, rzeros
@@ -278,6 +278,8 @@ def builtin(name: str) -> CatalogEntry:
     m = re.fullmatch(r"abelian\((\d+)\)", name)
     if m:
         n = int(m.group(1))
+        if n > MAX_DIM:
+            raise ValueError("abelian(n) needs n <= %d" % MAX_DIM)
         g = LieAlgebra.abelian(n)
         subs = [Subspace.zero(n), Subspace.full(n)]
         if n >= 1:

@@ -28,24 +28,22 @@ class InputError(Exception):
     pass
 
 
-def _read_json(path: str):
+def _load(path: str, reader):
+    """(reader(JSON value of the file), (path, sha256 of its bytes)); a file
+    that cannot be read, decoded, parsed or accepted raises InputError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     try:
-        return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError("cannot parse %s: %s" % (path, exc)) from None
+        # RecursionError: json's parser recurses once per nesting level
+        return reader(json.loads(raw.decode("utf-8"))), (path, hashlib.sha256(raw).hexdigest())
+    except (ValueError, RecursionError) as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
 
 
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
-def _emit(args, report: dict, code: int) -> int:
-    report["timing_s"] = round(time.perf_counter() - args._t0, 6)
-    text = serialize.dumps_canonical(report)
+def _emit(args, obj: dict, code: int = PASS) -> int:
+    text = serialize.dumps_canonical(obj)
     if args.json_out:
         Path(args.json_out).write_text(text)
     if not args.quiet:
@@ -53,108 +51,64 @@ def _emit(args, report: dict, code: int) -> int:
     return code
 
 
-def _report_skeleton(args, command: str, inputs: dict) -> dict:
-    return {
-        "command": command,
-        "seed": args.seed,
-        "inputs": {role: {"path": path, "sha256": digest}
-                   for role, (path, digest) in inputs.items()},
-    }
-
-
-def cmd_validate(args) -> int:
-    obj, raw = _read_json(args.file)
-    try:
-        qb = serialize.qb_from_dict(obj)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    checks = axiom_report(qb)
-    report = _report_skeleton(args, "validate", {"algebra": (args.file, _digest(raw))})
-    report["checks"] = {name: serialize.verdict_to_dict(v) for name, v in checks.items()}
-    ok = all(v.ok for v in checks.values())
-    report["verdict"] = "pass" if ok else "fail"
+def _report(args, command: str, inputs: dict, ok: bool, **fields) -> int:
+    """Emit the report of a command: its inputs as role -> (path, sha256),
+    its result fields, the verdict and the wall time since argument parsing."""
+    report = dict(fields, command=command, seed=args.seed, verdict="pass" if ok else "fail",
+                  inputs={role: {"path": path, "sha256": digest}
+                          for role, (path, digest) in inputs.items()})
+    report["timing_s"] = round(time.perf_counter() - args._t0, 6)
     return _emit(args, report, PASS if ok else FAIL)
 
 
+def cmd_validate(args) -> int:
+    qb, src = _load(args.file, serialize.qb_from_dict)
+    checks = axiom_report(qb)
+    return _report(args, "validate", {"algebra": src}, all(v.ok for v in checks.values()),
+                   checks={name: serialize.verdict_to_dict(v) for name, v in checks.items()})
+
+
 def cmd_double(args) -> int:
-    obj, raw = _read_json(args.file)
-    try:
-        qb = serialize.qb_from_dict(obj)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    qb, src = _load(args.file, serialize.qb_from_dict)
     dbl = build_double(qb)
     axioms = check_double_axioms(dbl)
-    report = _report_skeleton(args, "double", {"algebra": (args.file, _digest(raw))})
-    report["double"] = serialize.double_to_dict(dbl)
-    report["axioms"] = {
-        "jacobi": serialize.verdict_to_dict(axioms.jacobi),
-        "q_invariance": serialize.verdict_to_dict(axioms.q_invariance),
-    }
-    report["verdict"] = "pass" if axioms.ok else "fail"
-    return _emit(args, report, PASS if axioms.ok else FAIL)
+    return _report(args, "double", {"algebra": src}, axioms.ok,
+                   double=serialize.double_to_dict(dbl),
+                   axioms={"jacobi": serialize.verdict_to_dict(axioms.jacobi),
+                           "q_invariance": serialize.verdict_to_dict(axioms.q_invariance)})
 
 
 def cmd_classify(args) -> int:
-    alg_obj, alg_raw = _read_json(args.algebra_file)
-    datum_obj, datum_raw = _read_json(args.datum_file)
-    try:
-        qb = serialize.qb_from_dict(alg_obj)
-        datum = serialize.datum_from_dict(datum_obj, default_qb=qb)
-        if datum.qb != qb:
-            raise ValueError("datum file carries a different inline algebra")
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    qb, alg_src = _load(args.algebra_file, serialize.qb_from_dict)
+    datum, datum_src = _load(args.datum_file,
+                             lambda obj: serialize.datum_from_dict(obj, default_qb=qb))
+    if datum.qb != qb:
+        raise InputError("datum file carries a different inline algebra")
     rep = is_quasi_poisson_datum(datum)
-    report = _report_skeleton(args, "classify", {
-        "algebra": (args.algebra_file, _digest(alg_raw)),
-        "datum": (args.datum_file, _digest(datum_raw)),
-    })
-    report["report"] = rep.as_dict()
-    report["obstruction"] = serialize.tensor_to_entries(rep.obstruction)
-    report["stability_residuals"] = [serialize.tensor_to_entries(t)
-                                     for t in rep.residuals]
-    report["subalgebra_witness"] = serialize.verdict_to_dict(rep.span_closure)
-    report["verdict"] = "pass" if rep.verdict else "fail"
-    return _emit(args, report, PASS if rep.verdict else FAIL)
+    return _report(args, "classify", {"algebra": alg_src, "datum": datum_src}, rep.verdict,
+                   report=rep.as_dict(),
+                   obstruction=serialize.tensor_to_entries(rep.obstruction),
+                   stability_residuals=[serialize.tensor_to_entries(t) for t in rep.residuals],
+                   subalgebra_witness=serialize.verdict_to_dict(rep.span_closure))
 
 
 def cmd_twist(args) -> int:
-    alg_obj, alg_raw = _read_json(args.algebra_file)
-    r_obj, r_raw = _read_json(args.r_file)
-    try:
-        qb = serialize.qb_from_dict(alg_obj)
-        r = serialize.rmatrix_from_dict(r_obj)
-        if r.dim != qb.dim:
-            raise ValueError("bivector dimension differs from the algebra")
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    qb, alg_src = _load(args.algebra_file, serialize.qb_from_dict)
+    r, r_src = _load(args.r_file, serialize.rmatrix_from_dict)
+    if r.dim != qb.dim:
+        raise InputError("bivector dimension differs from the algebra")
     rep = check_twist_iso(qb, r)
-    report = _report_skeleton(args, "twist", {
-        "algebra": (args.algebra_file, _digest(alg_raw)),
-        "r": (args.r_file, _digest(r_raw)),
-    })
-    report["twisted"] = serialize.qb_to_dict(rep.target)
-    report["certificates"] = {
-        "bracket": serialize.verdict_to_dict(rep.bracket_ok),
-        "q_form": serialize.verdict_to_dict(rep.q_ok),
-        "fixes_g": serialize.verdict_to_dict(rep.fixes_g),
-    }
-    report["verdict"] = "pass" if rep.ok else "fail"
-    return _emit(args, report, PASS if rep.ok else FAIL)
+    return _report(args, "twist", {"algebra": alg_src, "r": r_src}, rep.ok,
+                   twisted=serialize.qb_to_dict(rep.target),
+                   certificates={"bracket": serialize.verdict_to_dict(rep.bracket_ok),
+                                 "q_form": serialize.verdict_to_dict(rep.q_ok),
+                                 "fixes_g": serialize.verdict_to_dict(rep.fixes_g)})
 
 
 def cmd_twist_equations(args) -> int:
-    obj, raw = _read_json(args.algebra_file)
-    try:
-        qb = serialize.qb_from_dict(obj)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    system = twist_equations(qb)
-    report = _report_skeleton(args, "twist-equations",
-                              {"algebra": (args.algebra_file, _digest(raw))})
-    report["system"] = system.as_dict()
-    report["verdict"] = "pass"
-    return _emit(args, report, PASS)
+    qb, src = _load(args.algebra_file, serialize.qb_from_dict)
+    return _report(args, "twist-equations", {"algebra": src}, True,
+                   system=twist_equations(qb).as_dict())
 
 
 def cmd_catalog(args) -> int:
@@ -162,12 +116,7 @@ def cmd_catalog(args) -> int:
         entry = catalog.builtin(args.name)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    text = serialize.dumps_canonical(serialize.qb_to_dict(entry.algebra))
-    if args.json_out:
-        Path(args.json_out).write_text(text)
-    if not args.quiet:
-        sys.stdout.write(text)
-    return PASS
+    return _emit(args, serialize.qb_to_dict(entry.algebra))
 
 
 def build_parser() -> argparse.ArgumentParser:

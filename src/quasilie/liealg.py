@@ -17,6 +17,10 @@ from .tensor import Tensor, alt_components, as_rational, rzeros
 
 HALF = Fraction(1, 2)
 
+# Largest dim g accepted from input: the double's Jacobi check allocates
+# (2 dim)^4 object entries, about 16.8M at 32 (gl(4) is 16, sl(5) is 24).
+MAX_DIM = 32
+
 
 @dataclass
 class Verdict:

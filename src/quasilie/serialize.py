@@ -1,23 +1,39 @@
 """JSON interchange for every value the toolkit exchanges.
 
-Rationals travel as text "p/q" (or "p" when q = 1); sparse tensor
-entries are 0-based, lexicographically sorted, and exploit the
-antisymmetry conventions: brackets store i < j, cocycles store j < k,
-3-vectors store i < j < k, bivectors store i < j.
+Rationals travel as text "p/q" (or "p" when q = 1).  A sparse entry list
+holds [index, ..., value] entries with 0-based integer indices, one entry
+per index tuple; ENTRY_ORDER says which index orders each list stores,
+and antisymmetry fills in the rest.  `read_entries` and `write_entries`
+are the one reader and the one writer of that format; the writer sorts
+entries lexicographically.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from .double import DoubleAlgebra
 from .homogeneous import HomDatum
-from .liealg import Cocycle, LieAlgebra, QuasiBialgebra, Verdict
+from .liealg import MAX_DIM, Cocycle, LieAlgebra, QuasiBialgebra, Verdict
 from .subspace import Subspace
 from .tensor import Tensor, as_rational
+
+# entry list -> (number of indices, index positions (a, b) with idx[a] < idx[b])
+ENTRY_ORDER = {
+    "bracket": (3, ((0, 1),)),           # c[i, j, k], i < j
+    "delta": (3, ((1, 2),)),             # d[i, j, k], j < k
+    "phi": (3, ((0, 1), (1, 2))),        # phi[i, j, k], i < j < k
+    "r": (2, ((0, 1),)),                 # datum bivector r[i, j], i < j
+    "bivector": (2, ()),                 # bivector file: any (i, j)
+}
+
+
+def _stored(kind, idx) -> bool:
+    return all(idx[a] < idx[b] for a, b in ENTRY_ORDER[kind][1])
 
 
 def frac_str(x) -> str:
@@ -25,7 +41,9 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, (int, str)):
+    # only "p" and "p/q": Fraction would also read "1e999999999" as a
+    # billion-digit integer
+    if type(s) is int or (type(s) is str and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s)):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -33,99 +51,82 @@ def parse_frac(s) -> Fraction:
     raise ValueError("bad rational literal: %r" % (s,))
 
 
+def read_dim(obj, what: str) -> int:
+    """The 'dim' field of a JSON object: an integer in 0..MAX_DIM."""
+    if not isinstance(obj, dict) or "dim" not in obj:
+        raise ValueError("%s object needs a 'dim' field" % what)
+    n = obj["dim"]
+    if type(n) is not int or not 0 <= n <= MAX_DIM:
+        raise ValueError("dim must be an integer in 0..%d, got %r" % (MAX_DIM, n))
+    return n
+
+
+def read_entries(kind: str, entries, dim: int) -> dict:
+    """{index tuple: Fraction} of a sparse entry list of the given kind;
+    rejects non-integer, out-of-range, misordered and repeated indices."""
+    arity = ENTRY_ORDER[kind][0]
+    if not isinstance(entries, list):
+        raise ValueError("%s must be a list of entries" % kind)
+    out = {}
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == arity + 1
+                and all(type(i) is int and 0 <= i < dim for i in e[:arity])):
+            raise ValueError("%s entry must be %d integer indices in range(%d) "
+                             "and a value, got %r" % (kind, arity, dim, e))
+        idx = tuple(e[:arity])
+        if not _stored(kind, idx):
+            raise ValueError("%s entry %r breaks the index order" % (kind, e))
+        if idx in out:
+            raise ValueError("duplicate %s entry %r" % (kind, idx))
+        out[idx] = parse_frac(e[arity])
+    return out
+
+
+def write_entries(kind: str, arr) -> list:
+    """The sparse entry list of kind `kind` that `read_entries` maps back to `arr`."""
+    return [idx + [frac_str(arr[tuple(idx)])]
+            for idx in np.argwhere(arr).tolist() if _stored(kind, idx)]
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def array_entries(arr) -> list:
-    if isinstance(arr, Tensor):
-        arr = arr.data
-    arr = np.asarray(arr, dtype=object)
-    return [[list(idx), frac_str(arr[idx])] for idx in np.ndindex(arr.shape) if arr[idx]]
-
-
-def tensor_to_entries(t: Tensor) -> list:
-    return [[list(idx), frac_str(v)] for idx, v in t.entries()]
+def tensor_to_entries(t) -> list:
+    """Nonzero components of a Tensor or array as [[index...], value]."""
+    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=object)
+    return [[idx, frac_str(arr[tuple(idx)])] for idx in np.argwhere(arr).tolist()]
 
 
 def bivector_to_entries(t: Tensor) -> list:
-    return [[i, j, frac_str(t.data[i, j])]
-            for i in range(t.dim) for j in range(i + 1, t.dim) if t.data[i, j]]
+    return write_entries("r", t.data)
 
 
 def bivector_from_entries(dim: int, entries) -> Tensor:
-    checked = []
-    for e in entries:
-        i, j, val = int(e[0]), int(e[1]), parse_frac(e[2])
-        if not 0 <= i < j < dim:
-            raise ValueError("bivector entry needs 0 <= i < j < dim, got (%d,%d)" % (i, j))
-        checked.append(((i, j), val))
-    return Tensor.from_alternating_entries(dim, 2, checked)
-
-
-def _bracket_entries(c) -> list:
-    n = c.shape[0]
-    return [[i, j, k, frac_str(c[i, j, k])]
-            for i in range(n) for j in range(i + 1, n) for k in range(n) if c[i, j, k]]
-
-
-def _delta_entries(d) -> list:
-    n = d.shape[0]
-    return [[i, j, k, frac_str(d[i, j, k])]
-            for i in range(n) for j in range(n) for k in range(j + 1, n) if d[i, j, k]]
-
-
-def _phi_entries(phi) -> list:
-    n = phi.shape[0]
-    return [[i, j, k, frac_str(phi[i, j, k])]
-            for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
-            if phi[i, j, k]]
+    return Tensor.from_alternating_entries(dim, 2, read_entries("r", entries, dim).items())
 
 
 def qb_to_dict(qb: QuasiBialgebra) -> dict:
     return {
         "dim": qb.dim,
         "labels": list(qb.algebra.labels),
-        "bracket": _bracket_entries(qb.algebra.c),
-        "delta": _delta_entries(qb.delta.d),
-        "phi": _phi_entries(qb.phi.data),
+        "bracket": write_entries("bracket", qb.algebra.c),
+        "delta": write_entries("delta", qb.delta.d),
+        "phi": write_entries("phi", qb.phi.data),
     }
 
 
-def _int_triplet(entry, what):
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
-        raise ValueError("each %s entry must be [i, j, k, value]" % what)
-    return int(entry[0]), int(entry[1]), int(entry[2]), parse_frac(entry[3])
-
-
 def qb_from_dict(obj) -> QuasiBialgebra:
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise ValueError("algebra object needs a 'dim' field")
-    n = int(obj["dim"])
-    if n < 0:
-        raise ValueError("dim must be nonnegative")
+    n = read_dim(obj, "algebra")
     labels = obj.get("labels")
-    bracket = []
-    for e in obj.get("bracket", []):
-        i, j, k, val = _int_triplet(e, "bracket")
-        if not (0 <= i < j < n and 0 <= k < n):
-            raise ValueError("bracket entry out of range: %s" % (e,))
-        bracket.append((i, j, k, val))
-    g = LieAlgebra.from_brackets(n, bracket, labels=labels)
-    delta = []
-    for e in obj.get("delta", []):
-        i, j, k, val = _int_triplet(e, "delta")
-        if not (0 <= i < n and 0 <= j < k < n):
-            raise ValueError("delta entry out of range: %s" % (e,))
-        delta.append((i, j, k, val))
-    phi = []
-    for e in obj.get("phi", []):
-        i, j, k, val = _int_triplet(e, "phi")
-        if not 0 <= i < j < k < n:
-            raise ValueError("phi entry out of range: %s" % (e,))
-        phi.append(((i, j, k), val))
-    return QuasiBialgebra(g, Cocycle.from_entries(g, delta),
-                          Tensor.from_alternating_entries(n, 3, phi))
+    if labels is not None and not (isinstance(labels, list) and len(labels) == n
+                                   and all(type(s) is str for s in labels)):
+        raise ValueError("labels must be a list of %d strings" % n)
+    bracket, delta, phi = (read_entries(kind, obj.get(kind, []), n)
+                           for kind in ("bracket", "delta", "phi"))
+    g = LieAlgebra.from_brackets(n, [idx + (v,) for idx, v in bracket.items()], labels=labels)
+    return QuasiBialgebra(g, Cocycle.from_entries(g, [idx + (v,) for idx, v in delta.items()]),
+                          Tensor.from_alternating_entries(n, 3, phi.items()))
 
 
 def subspace_to_rows(s: Subspace) -> list:
@@ -133,19 +134,17 @@ def subspace_to_rows(s: Subspace) -> list:
 
 
 def subspace_from_rows(rows, ambient: int) -> Subspace:
-    vecs = [[parse_frac(x) for x in row] for row in rows]
-    for row in vecs:
-        if len(row) != ambient:
-            raise ValueError("subspace row has length %d, expected %d"
-                             % (len(row), ambient))
-    return Subspace(ambient, vecs) if vecs else Subspace.zero(ambient)
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == ambient for row in rows)):
+        raise ValueError("h must be a list of rows of length %d" % ambient)
+    return Subspace(ambient, [[parse_frac(x) for x in row] for row in rows])
 
 
 def double_to_dict(dbl: DoubleAlgebra) -> dict:
     return {
         "dim": dbl.dim,
         "labels": list(dbl.algebra.labels),
-        "bracket": _bracket_entries(dbl.algebra.c),
+        "bracket": write_entries("bracket", dbl.algebra.c),
         "q_matrix": [[frac_str(x) for x in dbl.q[i]] for i in range(dbl.dim)],
         "source": qb_to_dict(dbl.source),
     }
@@ -179,17 +178,8 @@ def datum_from_dict(obj, default_qb: QuasiBialgebra | None = None) -> HomDatum:
 def rmatrix_from_dict(obj) -> Tensor:
     """Bivector file: {"dim": n, "r": [[i, j, "p/q"], ...]}; general (i, j)
     index pairs are accepted and checked for antisymmetric consistency."""
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise ValueError("bivector object needs a 'dim' field")
-    n = int(obj["dim"])
-    given = {}
-    for e in obj.get("r", []):
-        i, j, val = int(e[0]), int(e[1]), parse_frac(e[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError("bivector entry out of range: %s" % (e,))
-        if (i, j) in given:
-            raise ValueError("duplicate bivector entry (%d,%d)" % (i, j))
-        given[(i, j)] = val
+    n = read_dim(obj, "bivector")
+    given = read_entries("bivector", obj.get("r", []), n)
     for (i, j), val in given.items():
         if i == j and val:
             raise ValueError("r not antisymmetric: diagonal entry (%d,%d)" % (i, j))
@@ -208,5 +198,5 @@ def verdict_to_dict(v: Verdict) -> dict:
     if v.residual is None:
         out["residual"] = None
     else:
-        out["residual"] = array_entries(v.residual)
+        out["residual"] = tensor_to_entries(v.residual)
     return out

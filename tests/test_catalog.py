@@ -14,7 +14,7 @@ from quasilie.catalog import (QuadraticLieAlgebra, builtin, canonical_names,
                               sl2_trace_form, sl2_weyl_automorphism,
                               so3_standard_form)
 from quasilie.double import build_double, check_double_axioms
-from quasilie.liealg import ad_multi, axiom_report, closed_under_bracket
+from quasilie.liealg import MAX_DIM, ad_multi, axiom_report, closed_under_bracket
 from quasilie.subspace import Subspace
 from quasilie.tensor import Tensor, rarray, rzeros, wedge_list
 
@@ -64,6 +64,8 @@ def test_abelian_parametrized():
     entry = builtin("abelian(4)")
     assert entry.algebra.dim == 4
     assert not entry.algebra.algebra.c.any()
+    with pytest.raises(ValueError):
+        builtin("abelian(%d)" % (MAX_DIM + 1))
 
 
 def test_unknown_name_raises():

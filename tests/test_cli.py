@@ -3,10 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quasilie.catalog as catalog
 import quasilie.cli as cli
 import quasilie.homogeneous as homogeneous
 from quasilie.cli import main
+from quasilie.liealg import MAX_DIM
 from quasilie.serialize import dumps_canonical, qb_to_dict
 
 DATA = Path(catalog.__file__).parent / "data"
@@ -56,11 +59,47 @@ def test_validate_corrupted_fixture_fails_with_witness(tmp_path, capsys):
     assert rep["checks"]["jacobi"]["residual"]
 
 
-def test_validate_empty_file_is_input_error(tmp_path, capsys):
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    code, out, err = run_cli(capsys, "validate", str(empty))
-    assert code == 2 and "input error" in err
+SO3 = fixture("manin_so3.json")
+MALFORMED = {   # argv; bytes are written verbatim, other non-str values as JSON
+    "empty_file": ["validate", b""],
+    "deep_nesting": ["validate", b"[" * 100000 + b"]" * 100000],
+    "dim_null": ["validate", {"dim": None}],
+    "dim_true": ["validate", {"dim": True}],
+    "dim_float": ["validate", {"dim": 2.5}],
+    "dim_string": ["validate", {"dim": "2"}],
+    "catalog_over_cap": ["catalog", "abelian(%d)" % (MAX_DIM + 1)],
+    "index_null": ["validate", {"dim": 2, "bracket": [[0, None, 1, "1"]]}],
+    "index_float": ["validate", {"dim": 2, "bracket": [[0, 1.9, 1, "1"]]}],
+    "index_string": ["validate", {"dim": 2, "bracket": [[0, "1", 1, "1"]]}],
+    "index_false": ["validate", {"dim": 2, "bracket": [[False, 1, 1, "1"]]}],
+    "value_true": ["validate", {"dim": 2, "bracket": [[0, 1, 1, True]]}],
+    "bracket_not_list": ["validate", {"dim": 2, "bracket": 5}],
+    "labels_not_list": ["validate", {"dim": 2, "labels": 7}],
+    "labels_short": ["validate", {"dim": 2, "labels": ["x"]}],
+    "labels_not_strings": ["validate", {"dim": 2, "labels": [0, 1]}],
+    "delta_duplicate": ["validate", {"dim": 2, "delta": [[0, 0, 1, "1"], [0, 0, 1, "1"]]}],
+    "bivector_dim_null": ["twist", SO3, {"dim": None, "r": []}],
+    "bivector_r_not_list": ["twist", SO3, {"dim": 3, "r": 3}],
+    "bivector_entry_not_list": ["twist", SO3, {"dim": 3, "r": [5]}],
+    "bivector_index_float": ["twist", SO3, {"dim": 3, "r": [[0, 1.5, "1"]]}],
+    "datum_h_not_list": ["classify", SO3, {"h": 5, "r": []}],
+    "datum_h_row_not_list": ["classify", SO3, {"h": [5], "r": []}],
+    "datum_r_not_list": ["classify", SO3, {"h": [], "r": 7}],
+    "datum_r_index_float": ["classify", SO3, {"h": [], "r": [[0, 1.0, "1"]]}],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_is_input_error(tmp_path, capsys, argv):
+    args = []
+    for k, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path = tmp_path / ("input%d.json" % k)
+            path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
+            arg = str(path)
+        args.append(arg)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and "input error" in err and out == ""
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1,13 +1,17 @@
+import copy
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasilie.catalog import builtin, canonical_names
 from quasilie.double import build_double
 from quasilie.homogeneous import HomDatum
-from quasilie.liealg import Verdict
+from quasilie.liealg import MAX_DIM, QuasiBialgebra, Verdict
 from quasilie.serialize import (bivector_from_entries,
                                 bivector_to_entries, datum_from_dict,
                                 datum_to_dict, double_to_dict, dumps_canonical,
@@ -27,7 +31,7 @@ def test_fraction_text_forms():
     assert parse_frac("3/2") == Fraction(3, 2)
     assert parse_frac("4") == Fraction(4)
     assert parse_frac(5) == Fraction(5)
-    for bad in ("1/0", "a", None, 1.5):
+    for bad in ("1/0", "a", None, 1.5, True, "1e3", "0.5"):
         with pytest.raises(ValueError):
             parse_frac(bad)
 
@@ -61,6 +65,12 @@ def test_qb_from_dict_rejects_garbage():
         qb_from_dict({"dim": 2, "delta": [[0, 1, 1, "1"]]})      # needs j < k
     with pytest.raises(ValueError):
         qb_from_dict({"dim": 3, "phi": [[0, 2, 1, "1"]]})        # needs i<j<k
+    with pytest.raises(ValueError):
+        qb_from_dict({"dim": MAX_DIM + 1})                         # over the cap
+    for kind, entry in (("bracket", [0, 1, 1, "1"]), ("delta", [0, 0, 1, "1"]),
+                        ("phi", [0, 1, 2, "1"])):
+        with pytest.raises(ValueError, match="duplicate"):
+            qb_from_dict({"dim": 3, kind: [entry, entry]})
 
 
 def test_bivector_roundtrip():
@@ -86,6 +96,11 @@ def test_rmatrix_general_index_forms():
         rmatrix_from_dict({"dim": 2, "r": [[0, 0, "1"]]})
     with pytest.raises(ValueError, match="duplicate"):
         rmatrix_from_dict({"dim": 2, "r": [[0, 1, "1"], [0, 1, "1"]]})
+    with pytest.raises(ValueError):
+        rmatrix_from_dict({"dim": MAX_DIM + 1})                    # over the cap
+    with pytest.raises(ValueError, match="duplicate"):
+        datum_from_dict({"h": [], "r": [[0, 1, "1"], [0, 1, "1"]]},
+                        default_qb=builtin("aff1").algebra)
 
 
 def test_subspace_roundtrip():
@@ -141,3 +156,65 @@ def test_tensor_entries_sorted():
     t = rand_antisym(random.Random(61), 4, 3)
     entries = tensor_to_entries(t)
     assert entries == sorted(entries)
+
+
+# ---- fuzzing the readers ---------------------------------------------------
+
+FIELDS = ["dim", "labels", "bracket", "delta", "phi", "algebra", "h", "r"]
+# no integer between MAX_DIM + 2 and 2**64: were the cap lost, such a dim
+# would allocate dim^3 objects, while 2**64 fails at once in numpy
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, MAX_DIM + 2) | st.integers(min_value=2**64)
+    | st.integers(max_value=-3)
+    | st.floats() | st.text(max_size=4) | st.sampled_from(["1", "1/2", "-3", "1/0"]),
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), kids,
+                                    max_size=5)),
+    max_leaves=24)
+SL2 = builtin("sl2_coboundary").algebra
+READERS = [qb_from_dict, partial(datum_from_dict, default_qb=SL2), rmatrix_from_dict]
+CATALOG_DICTS = (
+    [(qb_from_dict, qb_to_dict(builtin(name).algebra)) for name in canonical_names()]
+    + [(datum_from_dict, datum_to_dict(d)) for d in builtin("aff1").datums.values()]
+    + [(rmatrix_from_dict, {"dim": 3, "r": [[0, 2, "1"], [2, 1, "-1/2"]]})])
+
+
+def read_or_reject(reader, obj):
+    """reader(obj) raises ValueError or returns a value its writer reproduces."""
+    try:
+        value = reader(obj)
+    except ValueError:
+        return
+    if isinstance(value, QuasiBialgebra):
+        assert qb_from_dict(qb_to_dict(value)) == value
+    elif isinstance(value, HomDatum):
+        back = datum_from_dict(datum_to_dict(value))
+        assert (back.qb, back.h, back.r) == (value.qb, value.h, value.r)
+    else:
+        assert rmatrix_from_dict({"dim": value.dim, "r": bivector_to_entries(value)}) == value
+
+
+@st.composite
+def mutated_catalog_dicts(draw):
+    """A catalog dict with one field, or one value nested in it, replaced."""
+    reader, obj = draw(st.sampled_from(CATALOG_DICTS))
+    obj = copy.deepcopy(obj)
+    node, key = obj, draw(st.sampled_from(sorted(obj)))
+    while isinstance(node[key], (list, dict)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+    node[key] = draw(JSON)
+    return reader, obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(READERS), JSON)
+def test_readers_accept_or_reject_any_json(reader, obj):
+    read_or_reject(reader, obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_catalog_dicts())
+def test_readers_accept_or_reject_mutated_catalog_dicts(case):
+    read_or_reject(*case)
