@@ -16,7 +16,7 @@ import numpy as np
 from .liealg import (LieAlgebra, QuasiBialgebra, Verdict, check_jacobi,
                      closed_under_bracket, residual_verdict)
 from .subspace import Subspace, solve_exact
-from .tensor import Tensor, reye, rzeros
+from .tensor import Tensor, reye, rzeros, scaled
 
 
 class DoubleAlgebra:
@@ -95,8 +95,9 @@ class DoubleAxiomReport:
 def check_double_axioms(dbl: DoubleAlgebra) -> DoubleAxiomReport:
     """Jacobi plus Q([x,y],z) + Q(y,[x,z]) = 0 at every basis triple."""
     jac = check_jacobi(dbl.algebra)
-    qc = np.tensordot(dbl.algebra.c, dbl.q, axes=(2, 0))   # Q([e_a,e_b], e_c)
-    qv = residual_verdict(qc + np.transpose(qc, (0, 2, 1)))
+    (c, q), den = scaled(dbl.algebra.c, dbl.q)
+    qc = np.tensordot(c, q, axes=(2, 0))   # Q([e_a,e_b], e_c), over den^2
+    qv = residual_verdict(qc + np.transpose(qc, (0, 2, 1)), den=den * den)
     return DoubleAxiomReport(jacobi=jac, q_invariance=qv)
 
 
@@ -135,10 +136,11 @@ def lagrangian_from_bivector(dbl: DoubleAlgebra, r: Tensor) -> Subspace:
 
 def certify_bracket_map(src: LieAlgebra, dst: LieAlgebra, m: np.ndarray) -> Verdict:
     """m([x,y]_src) = [m x, m y]_dst at every basis pair."""
-    lhs = np.tensordot(src.c, m, axes=(2, 1))
-    u = np.tensordot(m, dst.c, axes=(0, 0))
+    (cs, cd, m), den = scaled(src.c, dst.c, m)
+    lhs = den * np.tensordot(cs, m, axes=(2, 1))   # both sides over den^3
+    u = np.tensordot(m, cd, axes=(0, 0))
     rhs = np.transpose(np.tensordot(m, u, axes=(0, 1)), (1, 0, 2))
-    return residual_verdict(lhs - rhs, lead=2)
+    return residual_verdict(lhs - rhs, lead=2, den=den ** 3)
 
 
 def certify_form_map(q_src: np.ndarray, q_dst: np.ndarray, m: np.ndarray) -> Verdict:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import Tensor, alt_components, as_rational, rzeros
+from .tensor import Tensor, alt_components, as_rational, rzeros, scaled, unscaled
 
 HALF = Fraction(1, 2)
 
@@ -32,15 +32,16 @@ class Verdict:
         return self.ok
 
 
-def residual_verdict(res: np.ndarray, lead: int | None = None) -> Verdict:
+def residual_verdict(res: np.ndarray, lead: int | None = None, den: int = 1) -> Verdict:
     """Verdict on `res == 0`.  On failure the witness is the first index,
     in row-major order over the leading `lead` axes (all by default), at
-    which `res` is nonzero, and the residual is `res` at that index."""
+    which `res` is nonzero, and the residual is `res / den` at that index,
+    in `Fraction`s; `den` undoes the scaling of an integer kernel."""
     if not res.any():
         return Verdict(True)
     shape = res.shape if lead is None else res.shape[:lead]
     idx = next(i for i in np.ndindex(shape) if np.any(res[i]))
-    return Verdict(False, witness=idx, residual=res[idx])
+    return Verdict(False, witness=idx, residual=unscaled(res[idx], den))
 
 
 class LieAlgebra:
@@ -79,11 +80,6 @@ class LieAlgebra:
         y = np.asarray(y, dtype=object)
         return np.tensordot(y, np.tensordot(x, self.c, axes=(0, 0)), axes=(0, 0))
 
-    def ad_matrix(self, x) -> np.ndarray:
-        """Matrix A with A @ y = [x, y]."""
-        x = np.asarray(x, dtype=object)
-        return np.tensordot(x, self.c, axes=(0, 0)).T
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
                 and bool((self.c == other.c).all()))
@@ -94,11 +90,12 @@ class LieAlgebra:
 
 def check_jacobi(g: LieAlgebra) -> Verdict:
     """Cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0."""
-    t1 = np.tensordot(g.c, g.c, axes=(2, 0))   # t1[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]
+    (c,), den = scaled(g.c)
+    t1 = np.tensordot(c, c, axes=(2, 0))   # t1[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]
     jac = t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))
     # jac is totally antisymmetric in (i, j, k), so its first nonzero
     # triple in row-major order is strictly increasing
-    return residual_verdict(jac, lead=3)
+    return residual_verdict(jac, lead=3, den=den * den)
 
 
 def closed_under_bracket(g: LieAlgebra, rows) -> Verdict:
@@ -114,15 +111,20 @@ def closed_under_bracket(g: LieAlgebra, rows) -> Verdict:
     return Verdict(True)
 
 
-def ad_tensor_components(c: np.ndarray, x, arr: np.ndarray) -> np.ndarray:
-    """Leibniz action of ad_x on a degree-k component array."""
-    x = np.asarray(x, dtype=object)
-    a = np.tensordot(x, c, axes=(0, 0)).T
+def leibniz_components(a: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Leibniz action of the matrix a on every slot of a degree-k array.
+    ad of the basis vector e_i is the matrix c[i].T."""
     out = None
     for axis in range(arr.ndim):
         term = np.moveaxis(np.tensordot(a, arr, axes=(1, axis)), 0, axis)
         out = term if out is None else out + term
     return out
+
+
+def ad_tensor_components(c: np.ndarray, x, arr: np.ndarray) -> np.ndarray:
+    """Leibniz action of ad_x on a degree-k component array."""
+    x = np.asarray(x, dtype=object)
+    return leibniz_components(np.tensordot(x, c, axes=(0, 0)).T, arr)
 
 
 def ad_multi(g: LieAlgebra, x, t: Tensor) -> Tensor:
@@ -176,7 +178,7 @@ class Cocycle:
         n = algebra.dim
         d = rzeros((n, n, n))
         for i in range(n):
-            d[i] = ad_tensor_components(algebra.c, Tensor.basis(n, i).data, r.data)
+            d[i] = leibniz_components(algebra.c[i].T, r.data)
         return cls(algebra, d)
 
     def delta(self, x) -> Tensor:
@@ -233,38 +235,34 @@ class QuasiBialgebra:
 
 def check_cocycle(delta: Cocycle) -> Verdict:
     """delta([x,y]) = ad_x delta(y) - ad_y delta(x) at all basis pairs."""
-    g = delta.algebra
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = np.tensordot(g.c[i, j], delta.d, axes=(0, 0))
-            rhs = (ad_tensor_components(g.c, Tensor.basis(n, i).data, delta.d[j])
-                   - ad_tensor_components(g.c, Tensor.basis(n, j).data, delta.d[i]))
-            res = lhs - rhs
-            if res.any():
-                return Verdict(False, witness=(i, j), residual=res)
-    return Verdict(True)
+    (c, d), den = scaled(delta.algebra.c, delta.d)
+    lhs = np.tensordot(c, d, axes=(2, 0))   # lhs[i,j] = delta([e_i, e_j])
+    # ad[i,j] = ad_{e_i} delta(e_j), with ad_{e_i} = c[i].T on each slot
+    ad = (np.transpose(np.tensordot(c, d, axes=(1, 1)), (0, 2, 1, 3))
+          + np.transpose(np.tensordot(c, d, axes=(1, 2)), (0, 2, 3, 1)))
+    res = lhs - ad + np.transpose(ad, (1, 0, 2, 3))
+    # res is antisymmetric in (i, j), so its first nonzero pair has i < j
+    return residual_verdict(res, lead=2, den=den * den)
 
 
 def check_quasi_cojacobi(qb: QuasiBialgebra) -> Verdict:
     """(1/2) Alt(delta (x) id) delta(x) = ad_x phi at every basis x."""
-    g, d = qb.algebra, qb.delta.d
-    n = g.dim
+    (c, d, phi), den = scaled(qb.algebra.c, qb.delta.d, qb.phi.data)
+    n = qb.dim
+    # both sides times 2 den^2: Alt without the 1/2, against twice ad_{e_i} phi
+    res = np.empty((n,) * 4, dtype=object)
     for i in range(n):
-        lhs = half_alt_delta_components(d, d[i])
-        rhs = ad_tensor_components(g.c, Tensor.basis(n, i).data, qb.phi.data)
-        res = lhs - rhs
-        if res.any():
-            return Verdict(False, witness=(i,), residual=res)
-    return Verdict(True)
+        res[i] = (alt_components(delta_id_components(d, d[i]))
+                  - 2 * leibniz_components(c[i].T, phi))
+    return residual_verdict(res, lead=1, den=2 * den * den)
 
 
 def check_pentagon(qb: QuasiBialgebra) -> Verdict:
     """Alt(delta (x) id (x) id) phi = 0."""
-    t = np.tensordot(qb.delta.d, qb.phi.data, axes=(0, 0))  # [a,b,j,k]
-    res = alt_components(t)
-    v = residual_verdict(res)
-    return v if v.ok else Verdict(False, witness=v.witness, residual=res)
+    (d, phi), den = scaled(qb.delta.d, qb.phi.data)
+    res = alt_components(np.tensordot(d, phi, axes=(0, 0)))  # [a,b,j,k], over den^2
+    v = residual_verdict(res, den=den * den)
+    return v if v.ok else Verdict(False, witness=v.witness, residual=unscaled(res, den * den))
 
 
 def axiom_report(qb: QuasiBialgebra) -> dict:
@@ -301,10 +299,14 @@ def cyb(g: LieAlgebra, r: Tensor) -> Tensor:
                   antisymmetric=r.antisymmetric or r.is_antisymmetric())
 
 
+def delta_id_components(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(delta (x) id) r at the array level."""
+    return np.transpose(np.tensordot(r, d, axes=(0, 0)), (1, 2, 0))
+
+
 def half_alt_delta_components(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(1/2) Alt((delta (x) id) r) at the array level."""
-    t = np.transpose(np.tensordot(r, d, axes=(0, 0)), (1, 2, 0))
-    return HALF * alt_components(t)
+    return HALF * alt_components(delta_id_components(d, r))
 
 
 def half_alt_delta(delta: Cocycle, r: Tensor) -> Tensor:

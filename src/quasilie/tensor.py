@@ -5,13 +5,17 @@ arithmetic is exact and every comparison is an exact equality.  The
 antisymmetrization convention is the plain signed sum over permutations
 (no 1/k! factor), and the wedge product of an m-tensor with an n-tensor
 carries the 1/(m! n!) normalization.
+
+The certificate kernels contract on integers instead: `scaled` clears
+the denominators of their inputs once, and `unscaled` turns a residual
+back into `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -46,6 +50,26 @@ def rarray(data) -> np.ndarray:
     for i, x in enumerate(flat):
         flat[i] = as_rational(x)
     return a
+
+
+def scaled(*arrays):
+    """Clear denominators: (int_arrays, den) with arrays[k] equal to
+    int_arrays[k] / den exactly, den the lcm of every denominator.  The
+    integer arrays hold Python ints (object dtype), which cannot overflow."""
+    arrays = [np.asarray(a, dtype=object) for a in arrays]
+    dens = {x.denominator for a in arrays for x in a.flat}
+    den = lcm(*dens)
+    mult = {q: den // q for q in dens}
+    ints = tuple(np.array([x.numerator * mult[x.denominator] for x in a.flat],
+                          dtype=object).reshape(a.shape) for a in arrays)
+    return ints, den
+
+
+def unscaled(arr, den: int = 1):
+    """Inverse of `scaled`: arr / den as `Fraction`s (an array or a scalar)."""
+    if np.ndim(arr) == 0:
+        return Fraction(arr, den)
+    return np.array([Fraction(x, den) for x in arr.flat], dtype=object).reshape(arr.shape)
 
 
 def basis_vector(dim: int, i: int) -> np.ndarray:

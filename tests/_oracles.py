@@ -120,17 +120,98 @@ def oracle_pairing(covectors, arr):
     return total
 
 
-def oracle_jacobi_pass(c):
+def unit(n, i):
+    e = fzeros((n,))
+    e[i] = Fraction(1)
+    return e
+
+
+# The certificate oracles below return None when the identity holds, and
+# otherwise (witness, residual) at the first failing basis tuple in
+# lexicographic order, the residual being what the library reports there.
+
+def oracle_jacobi(c):
     n = c.shape[0]
+    e = [unit(n, i) for i in range(n)]
     for i, j, k in product(range(n), repeat=3):
         acc = fzeros((n,))
         for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = fzeros((n,))
-            for m in range(n):
-                if c[a, b, m]:
-                    for l in range(n):
-                        inner[l] += c[a, b, m] * c[m, cc, l]
-            acc += inner
+            acc += oracle_bracket(c, oracle_bracket(c, e[a], e[b]), e[cc])
         if acc.any():
-            return False
-    return True
+            return (i, j, k), acc
+    return None
+
+
+def oracle_jacobi_pass(c):
+    return oracle_jacobi(c) is None
+
+
+def oracle_cocycle(c, d):
+    """delta([e_i, e_j]) - ad_{e_i} delta(e_j) + ad_{e_j} delta(e_i), i < j."""
+    n = c.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = fzeros((n, n))
+            for k in range(n):
+                if c[i, j, k]:
+                    res += c[i, j, k] * d[k]
+            res -= oracle_ad_tensor(c, unit(n, i), d[j])
+            res += oracle_ad_tensor(c, unit(n, j), d[i])
+            if res.any():
+                return (i, j), res
+    return None
+
+
+def oracle_quasi_cojacobi(c, d, phi):
+    n = c.shape[0]
+    for i in range(n):
+        res = oracle_half_alt_delta(d, d[i]) - oracle_ad_tensor(c, unit(n, i), phi)
+        if res.any():
+            return (i,), res
+    return None
+
+
+def oracle_pentagon(d, phi):
+    """Alt of t[a,b,j,k] = sum_i d[i,a,b] phi[i,j,k]; the residual is the
+    whole array."""
+    n = d.shape[0]
+    t = fzeros((n,) * 4)
+    for i, a, b in product(range(n), repeat=3):
+        if d[i, a, b]:
+            for j, k in product(range(n), repeat=2):
+                t[a, b, j, k] += d[i, a, b] * phi[i, j, k]
+    res = oracle_alt(t)
+    for idx in np.ndindex(res.shape):
+        if res[idx]:
+            return idx, res
+    return None
+
+
+def oracle_q_invariance(c, q):
+    """Q([e_a, e_b], e_c) + Q(e_b, [e_a, e_c]) for a symmetric q."""
+    n = c.shape[0]
+    e = [unit(n, i) for i in range(n)]
+
+    def form(u, v):
+        return sum((u[i] * q[i, j] * v[j] for i, j in product(range(n), repeat=2)
+                    if q[i, j]), Fraction(0))
+
+    for a, b, cc in product(range(n), repeat=3):
+        res = (form(oracle_bracket(c, e[a], e[b]), e[cc])
+               + form(e[b], oracle_bracket(c, e[a], e[cc])))
+        if res:
+            return (a, b, cc), res
+    return None
+
+
+def oracle_bracket_map(c_src, c_dst, m):
+    """m [e_i, e_j]_src - [m e_i, m e_j]_dst over all pairs."""
+    n, n_dst = c_src.shape[0], c_dst.shape[0]
+    for i, j in product(range(n), repeat=2):
+        res = -oracle_bracket(c_dst, m[:, i], m[:, j])
+        for k, v in enumerate(oracle_bracket(c_src, unit(n, i), unit(n, j))):
+            for a in range(n_dst):
+                res[a] += m[a, k] * v
+        if res.any():
+            return (i, j), res
+    return None

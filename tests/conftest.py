@@ -4,8 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from quasilie.catalog import builtin, canonical_names
-from quasilie.tensor import Tensor
+from quasilie.catalog import QuadraticLieAlgebra, builtin, canonical_names
+from quasilie.liealg import LieAlgebra
+from quasilie.tensor import Tensor, rarray
 
 
 def rand_frac(rng, lo=-3, hi=3, denoms=(1, 2)):
@@ -40,6 +41,22 @@ def rand_cocycle_array(rng, n):
                 d[i, j, k] = v
                 d[i, k, j] = -v
     return d
+
+
+def gl_trace_form(m: int) -> QuadraticLieAlgebra:
+    """gl(m) on the basis E_ij (index i*m + j), [E_ij, E_kl] = d_jk E_il -
+    d_li E_kj, with the trace form B(E_ij, E_kl) = d_jk d_il."""
+    n = m * m
+    entries = []
+    for i, j, k, l in np.ndindex(m, m, m, m):
+        a, b = i * m + j, k * m + l
+        if a < b:
+            if j == k:
+                entries.append((a, b, i * m + l, 1))
+            if l == i:
+                entries.append((a, b, k * m + j, -1))
+    form = rarray([[int(b == (a % m) * m + a // m) for b in range(n)] for a in range(n)])
+    return QuadraticLieAlgebra(LieAlgebra.from_brackets(n, entries), form)
 
 
 @pytest.fixture(scope="session")

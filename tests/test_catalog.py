@@ -14,11 +14,13 @@ from quasilie.catalog import (QuadraticLieAlgebra, builtin, canonical_names,
                               sl2_trace_form, sl2_weyl_automorphism,
                               so3_standard_form)
 from quasilie.double import build_double, check_double_axioms
-from quasilie.liealg import MAX_DIM, ad_multi, axiom_report, closed_under_bracket
+from quasilie.liealg import (MAX_DIM, Cocycle, QuasiBialgebra, ad_multi, axiom_report,
+                             check_quasi_cojacobi, closed_under_bracket)
 from quasilie.subspace import Subspace
 from quasilie.tensor import Tensor, rarray, rzeros, wedge_list
 
 from _oracles import oracle_cyb
+from conftest import gl_trace_form
 
 DATA = Path(catalog.__file__).parent / "data"
 
@@ -104,6 +106,18 @@ def test_manin_quasi_triple_regression_constant():
     assert (qb.phi.data == -oracle_cyb(qb.algebra.c, q.b_inv)).all()
     for i in range(3):
         assert ad_multi(qb.algebra, Tensor.basis(3, i).data, qb.phi).is_zero()
+
+
+@pytest.mark.parametrize("q", [sl2_trace_form(), so3_standard_form(),
+                               gl_trace_form(2), gl_trace_form(3)],
+                         ids=["sl2", "so3", "gl2", "gl3"])
+def test_manin_phi_is_antisymmetric_and_invariant(q):
+    # both are theorems for a nondegenerate invariant symmetric form on a
+    # Lie algebra; invariance of phi is quasi-co-Jacobi at delta = 0
+    phi = manin_quasi_triple(q).phi
+    assert phi.is_antisymmetric()
+    g = q.algebra
+    assert check_quasi_cojacobi(QuasiBialgebra(g, Cocycle.zero(g), phi)).ok
 
 
 def test_manin_so3_phi():
