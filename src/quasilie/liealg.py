@@ -9,13 +9,10 @@ a concrete basis tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .tensor import Tensor, alt_components, as_rational, rzeros, scaled, unscaled
-
-HALF = Fraction(1, 2)
 
 # Largest dim g accepted from input: the double's Jacobi check allocates
 # (2 dim)^4 object entries, about 16.8M at 32 (gl(4) is 16, sl(5) is 24).
@@ -277,7 +274,8 @@ def axiom_report(qb: QuasiBialgebra) -> dict:
 
 def cyb_components(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """[r12,r13] + [r12,r23] + [r13,r23] expanded through the structure
-    constants; works for any square scalar-ring matrix r."""
+    constants, for any square matrix r of `Fraction`s or ints (a bivector,
+    or the symmetric Omega of `manin_quasi_triple`)."""
     # t1[a,b,c] = sum_{i,k} r[i,b] r[k,c] c[i,k,a]
     u = np.tensordot(r, c, axes=(0, 0))            # u[b,k,a]
     t1 = np.transpose(np.tensordot(r, u, axes=(0, 1)), (2, 1, 0))
@@ -305,8 +303,11 @@ def delta_id_components(d: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def half_alt_delta_components(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(1/2) Alt((delta (x) id) r) at the array level."""
-    return HALF * alt_components(delta_id_components(d, r))
+    """(1/2) Alt((delta (x) id) r) at the array level: the sum of the three
+    cyclic rotations, since (delta (x) id) r is antisymmetric in its first
+    two slots."""
+    t = delta_id_components(d, r)
+    return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))
 
 
 def half_alt_delta(delta: Cocycle, r: Tensor) -> Tensor:

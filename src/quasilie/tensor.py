@@ -198,7 +198,8 @@ def tensor_product(u: Tensor, v: Tensor) -> Tensor:
 
 
 def alt_components(arr: np.ndarray) -> np.ndarray:
-    """Signed sum over all axis permutations (array level, any scalar ring)."""
+    """Signed sum over all axis permutations (array level, `Fraction` or int
+    entries)."""
     k = arr.ndim
     out = None
     for perm in permutations(range(k)):

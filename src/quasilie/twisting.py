@@ -1,6 +1,7 @@
 """Twisting of quasi-bialgebras by a bivector r, the induced isomorphism
 of doubles, the transported homogeneous data, and the twist-equation
-polynomial system.
+system: one {monomial: coefficient} per increasing index triple, read
+off the nonzeros of c, delta and phi.
 
 Sign convention for the double isomorphism: the map sends a + l to
 a + l + (id (x) l) r, i.e. the off-diagonal block of its matrix is r
@@ -12,17 +13,17 @@ matching the transported datum (h, r_d - r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from .double import (DoubleAlgebra, build_double, certify_bracket_map,
                      certify_form_map)
 from .homogeneous import HomDatum, is_quasi_poisson_datum
-from .liealg import (Cocycle, QuasiBialgebra, Verdict, cyb, cyb_components,
-                     half_alt_delta, half_alt_delta_components)
+from .liealg import Cocycle, QuasiBialgebra, Verdict, cyb, half_alt_delta
 from .subspace import Subspace
-from .tensor import Tensor, as_rational, reye
+from .tensor import ZERO, Tensor, reye
 
 
 def twist(qb: QuasiBialgebra, r: Tensor) -> QuasiBialgebra:
@@ -119,92 +120,6 @@ def twist_datum(d: HomDatum, r: Tensor) -> HomDatum:
     return new
 
 
-class Poly:
-    """Polynomial with rational coefficients; monomials are sorted
-    variable-name tuples (repetition encodes powers)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coef in terms.items():
-                if coef:
-                    self.terms[tuple(mono)] = coef
-
-    @classmethod
-    def var(cls, name: str) -> "Poly":
-        return cls({(name,): Fraction(1)})
-
-    @classmethod
-    def const(cls, value) -> "Poly":
-        value = as_rational(value)
-        return cls({(): value} if value else {})
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coef
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == self._coerce(other).terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
-    def evaluate(self, env: dict) -> Fraction:
-        total = Fraction(0)
-        for mono, coef in self.terms.items():
-            v = coef
-            for name in mono:
-                v *= env[name]
-            total += v
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        bits = ["%s*%s" % (c, "*".join(m) if m else "1")
-                for m, c in sorted(self.terms.items())]
-        return "Poly(%s)" % " + ".join(bits)
-
-
 def unknown_name(i: int, j: int) -> str:
     return "r_%d_%d" % (i, j)
 
@@ -216,7 +131,7 @@ class TwistEquationSystem:
 
     qb: QuasiBialgebra
     unknowns: list
-    equations: list          # one Poly per increasing index triple
+    equations: list          # one {monomial: coefficient} per increasing index triple
     triples: list
 
     def residual(self, r: Tensor) -> Tensor:
@@ -224,36 +139,65 @@ class TwistEquationSystem:
         return cyb(self.qb.algebra, r) - half_alt_delta(self.qb.delta, r) - self.qb.phi
 
     def evaluate(self, r: Tensor) -> list:
-        env = {unknown_name(i, j): r.data[i, j]
-               for i in range(r.dim) for j in range(i + 1, r.dim)}
-        return [p.evaluate(env) for p in self.equations]
+        n = self.qb.dim
+        if r.dim != n or r.degree != 2:
+            raise ValueError("evaluate expects a degree-2 tensor over g")
+        env = {unknown_name(i, j): r.data[i, j] for i, j in combinations(range(n), 2)}
+        return [sum((coef * prod(env[v] for v in mono) for mono, coef in eq.items()), ZERO)
+                for eq in self.equations]
 
     def as_dict(self) -> dict:
-        eqs = []
-        for p in self.equations:
-            monos = [{"vars": list(m), "coef": str(c)}
-                     for m, c in sorted(p.terms.items())]
-            eqs.append({"monomials": monos})
+        eqs = [{"monomials": [{"vars": list(m), "coef": str(c)} for m, c in sorted(eq.items())]}
+               for eq in self.equations]
         return {"unknowns": list(self.unknowns), "equations": eqs}
 
 
 def twist_equations(qb: QuasiBialgebra) -> TwistEquationSystem:
-    n = qb.dim
-    unknowns = [unknown_name(i, j) for i in range(n) for j in range(i + 1, n)]
-    rp = np.empty((n, n), dtype=object)
-    rp[...] = Poly.const(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = Poly.var(unknown_name(i, j))
-            rp[i, j] = v
-            rp[j, i] = -v
-    lhs = cyb_components(qb.algebra.c, rp) - half_alt_delta_components(qb.delta.d, rp)
-    equations, triples = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                p = Poly._coerce(lhs[i, j, k]) - qb.phi.data[i, j, k]
-                equations.append(p)
-                triples.append((i, j, k))
+    """Read the system off the nonzeros of phi (constant), c (quadratic)
+    and delta (linear).  A monomial is the name-sorted tuple of its
+    unknowns."""
+    n, c, d, phi = qb.dim, qb.algebra.c, qb.delta.d, qb.phi.data
+    pairs = list(combinations(range(n), 2))
+    unknowns = [unknown_name(i, j) for i, j in pairs]
+    entry = {}  # r[x, y] = sign * name
+    for name, (i, j) in zip(unknowns, pairs):
+        entry[i, j], entry[j, i] = (name, 1), (name, -1)
+    triples = list(combinations(range(n), 3))
+    eqs = {t: {(): -phi[t]} if phi[t] else {} for t in triples}
+
+    def add(t, mono, coef):
+        eq = eqs[t]
+        eq[mono] = eq.get(mono, ZERO) + coef
+
+    # CYB[a,b,c] = sum r[i,b] r[k,c] c[i,k,a] + r[a,j] r[k,c] c[j,k,b]
+    #            + r[a,j] r[b,l] c[j,l,c]: each nonzero c[p,q,s] multiplies
+    # r[p,x] r[q,y] placed at (s,x,y), -(x,s,y) or (x,y,s), whichever increases
+    for p, q, s in np.argwhere(c).tolist():
+        v = c[p, q, s]
+        for x, y in pairs:
+            if x == p or y == q or s in (x, y):
+                continue
+            (n1, sign1), (n2, sign2) = entry[p, x], entry[q, y]
+            w = v if sign1 == sign2 else -v
+            mono = (n1, n2) if n1 <= n2 else (n2, n1)
+            if s < x:
+                add((s, x, y), mono, w)
+            elif s < y:
+                add((x, s, y), mono, -w)
+            else:
+                add((x, y, s), mono, w)
+    # -(1/2)Alt(delta (x) id)r = -(t[a,b,c] + t[b,c,a] + t[c,a,b]) with
+    # t[a,b,c] = sum r[i,c] d[i,a,b]: each nonzero d[i,p,q] multiplies -r[i,x]
+    # at the increasing rotation of (p,q,x), if any
+    for i, p, q in np.argwhere(d).tolist():
+        v = d[i, p, q]
+        for x in range(n):
+            if x == i:
+                continue
+            name, sign = entry[i, x]
+            for t in ((p, q, x), (x, p, q), (q, x, p)):
+                if t[0] < t[1] < t[2]:
+                    add(t, (name,), -v if sign > 0 else v)
+    equations = [{m: v for m, v in eqs[t].items() if v} for t in triples]
     return TwistEquationSystem(qb=qb, unknowns=unknowns,
                                equations=equations, triples=triples)

@@ -2,7 +2,7 @@
 path with the library's transpose/tensordot implementations."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -105,6 +105,39 @@ def oracle_delta_tensor(d, r):
 
 def oracle_half_alt_delta(d, r):
     return Fraction(1, 2) * oracle_alt(oracle_delta_tensor(d, r))
+
+
+def oracle_twist_coefficients(c, d, phi):
+    """Coefficients of F(r) = CYB(r) - (1/2)Alt(delta (x) id)r - phi in the
+    unknowns r_i_j (i < j), by polarization of F at 0, +-E_u and E_u + E_v:
+    one {monomial: coefficient} per increasing triple, a monomial being the
+    name-sorted tuple of its unknowns."""
+    n = c.shape[0]
+    pairs = list(combinations(range(n), 2))
+    names = ["r_%d_%d" % p for p in pairs]
+
+    def bivector(*units):
+        r = fzeros((n, n))
+        for sgn, (i, j) in units:
+            r[i, j] += sgn
+            r[j, i] -= sgn
+        return r
+
+    def f(r):
+        return oracle_cyb(c, r) - oracle_half_alt_delta(d, r) - phi
+
+    f0 = f(bivector())
+    plus = [f(bivector((1, u))) for u in pairs]
+    minus = [f(bivector((-1, u))) for u in pairs]
+    coefs = {(): f0}
+    for a, name in enumerate(names):
+        coefs[(name,)] = (plus[a] - minus[a]) / 2
+        coefs[(name, name)] = (plus[a] + minus[a]) / 2 - f0
+    for (a, u), (b, v) in combinations(enumerate(pairs), 2):
+        mono = tuple(sorted((names[a], names[b])))
+        coefs[mono] = f(bivector((1, u), (1, v))) - plus[a] - plus[b] + f0
+    return [{m: arr[t] for m, arr in coefs.items() if arr[t]}
+            for t in combinations(range(n), 3)]
 
 
 def oracle_pairing(covectors, arr):

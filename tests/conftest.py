@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def rand_antisym(rng, n, degree=2):
     for combo in combinations(range(n), degree):
         entries.append((combo, rand_frac(rng)))
     return Tensor.from_alternating_entries(n, degree, entries)
+
+
+def coprime_values(count, top=2 ** 40):
+    out = []
+    q = top
+    while len(out) < count:
+        if all(gcd(q, p) == 1 for p in out):
+            out.append(q)
+        q -= 1
+    return out
+
+
+DENOMS = coprime_values(6)
+
+
+def big_frac(rng):
+    return Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.choice(DENOMS))
+
+
+def big_bivector(rng, n):
+    return Tensor.from_alternating_entries(
+        n, 2, [(pair, big_frac(rng)) for pair in combinations(range(n), 2)])
 
 
 def rand_cocycle_array(rng, n):

@@ -5,8 +5,7 @@ by theorem; single-entry perturbations of them exercise the witnesses."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import gcd
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -21,20 +20,8 @@ from quasilie.twisting import f_r_matrix, twist
 
 from _oracles import (oracle_bracket_map, oracle_cocycle, oracle_jacobi,
                       oracle_pentagon, oracle_q_invariance, oracle_quasi_cojacobi)
-from conftest import gl_trace_form
+from conftest import big_bivector, big_frac, gl_trace_form
 
-
-def coprime_values(count, top=2 ** 40):
-    out = []
-    q = top
-    while len(out) < count:
-        if all(gcd(q, p) == 1 for p in out):
-            out.append(q)
-        q -= 1
-    return out
-
-
-DENOMS = coprime_values(6)
 
 BASES = {
     "aff1": lambda: builtin("aff1").algebra,
@@ -42,15 +29,6 @@ BASES = {
     "manin_so3": lambda: builtin("manin_so3").algebra,
     "manin_gl2": lambda: manin_quasi_triple(gl_trace_form(2)),
 }
-
-
-def big_frac(rng):
-    return Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.choice(DENOMS))
-
-
-def big_bivector(rng, n):
-    return Tensor.from_alternating_entries(
-        n, 2, [(pair, big_frac(rng)) for pair in combinations(range(n), 2)])
 
 
 def twisted(name, rng):

@@ -1,19 +1,24 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from quasilie.catalog import builtin, sl2
+from quasilie.catalog import aff1, builtin, manin_quasi_triple, sl2, so3
 from quasilie.double import build_double, is_subalgebra, lagrangian_from_bivector
 from quasilie.homogeneous import HomDatum, is_quasi_poisson_datum
-from quasilie.liealg import (Cocycle, QuasiBialgebra, axiom_report, cyb,
-                             half_alt_delta)
-from quasilie.tensor import Tensor
-from quasilie.twisting import (Poly, certify_double_map, check_twist_iso,
+from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra, axiom_report,
+                             cyb, half_alt_delta)
+from quasilie.serialize import dumps_canonical
+from quasilie.tensor import Tensor, rzeros
+from quasilie.twisting import (certify_double_map, check_twist_iso,
                                compose_twists, f_r_matrix, twist, twist_datum,
-                               twist_equations, unknown_name)
+                               twist_equations)
 
-from conftest import rand_antisym
+from _oracles import oracle_twist_coefficients
+from conftest import (big_bivector, gl_trace_form, rand_antisym,
+                      rand_cocycle_array, rand_frac)
 
 
 def test_twist_by_zero_is_identity(catalog_entries):
@@ -185,23 +190,11 @@ def test_twist_datum_preserves_verdict():
         assert is_quasi_poisson_datum(moved).verdict
 
 
-def test_poly_arithmetic():
-    x, y = Poly.var("x"), Poly.var("y")
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert (x * y).degree() == 2
-    assert (p - p).is_zero()
-    assert Fraction(1, 2) * (x + x) == x
-    q = 1 - x
-    assert q.evaluate({"x": Fraction(1)}) == 0
-    assert (x * y * 6).evaluate({"x": Fraction(1, 2), "y": Fraction(1, 3)}) == 1
-
-
 def test_twist_equations_trivial_systems():
     ab = builtin("abelian(3)").algebra
     sys_ab = twist_equations(ab)
     assert sys_ab.unknowns == ["r_0_1", "r_0_2", "r_1_2"]
-    assert all(p.is_zero() for p in sys_ab.equations)
+    assert all(not p for p in sys_ab.equations)
     aff = builtin("aff1").algebra
     sys_aff = twist_equations(aff)
     assert sys_aff.equations == [] and sys_aff.unknowns == ["r_0_1"]
@@ -213,7 +206,8 @@ def test_twist_equations_match_residual_evaluation():
         qb = builtin(name).algebra
         system = twist_equations(qb)
         assert len(system.equations) == 1 and len(system.unknowns) == 3
-        assert all(p.degree() <= 2 for p in system.equations)
+        assert all(len(m) <= 2 for p in system.equations for m in p)
+        dbl = build_double(qb)
         for _ in range(15):
             r = rand_antisym(rng, 3)
             vals = system.evaluate(r)
@@ -221,7 +215,6 @@ def test_twist_equations_match_residual_evaluation():
             for value, (i, j, k) in zip(vals, system.triples):
                 assert value == res.data[i, j, k]
             # solving the equation is the same as the graph closing
-            dbl = build_double(qb)
             closes = is_subalgebra(dbl, lagrangian_from_bivector(dbl, r)).ok
             assert (all(v == 0 for v in vals)) == res.is_zero() == closes
 
@@ -234,9 +227,7 @@ def test_twist_equation_residual_at_frozen_point():
     r = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])
     e, h, f = (Tensor.basis(3, i) for i in range(3))
     assert system.residual(r) == Fraction(3) * wedge_list([h, e, f])
-    env = {unknown_name(0, 1): Fraction(0), unknown_name(0, 2): Fraction(1),
-           unknown_name(1, 2): Fraction(0)}
-    assert system.equations[0].evaluate(env) == Fraction(3) * wedge_list([h, e, f]).data[0, 1, 2]
+    assert system.evaluate(r)[0] == Fraction(3) * wedge_list([h, e, f]).data[0, 1, 2]
 
 
 def test_twist_equations_json_shape():
@@ -249,3 +240,68 @@ def test_twist_equations_json_shape():
             assert set(mono) == {"vars", "coef"}
             Fraction(mono["coef"])
             assert all(v in d["unknowns"] for v in mono["vars"])
+
+
+def test_twist_equations_evaluate_rejects_wrong_size():
+    system = twist_equations(builtin("sl2_coboundary").algebra)
+    for r in (Tensor.zero(2, 2), Tensor.zero(4, 2), Tensor.zero(3, 3)):
+        with pytest.raises(ValueError, match="degree-2 tensor over g"):
+            system.evaluate(r)
+        with pytest.raises(ValueError, match="degree-2 tensor over g"):
+            system.residual(r)
+
+
+def test_twist_equations_match_polarization_oracle(catalog_entries):
+    rng = random.Random(60)
+    qbs = [entry.algebra for entry in catalog_entries]
+    qbs.append(twist(manin_quasi_triple(gl_trace_form(2)), big_bivector(rng, 4)))
+    n = 4
+    g = LieAlgebra.from_brackets(n, [(i, j, k, rand_frac(rng)) for i in range(n)
+                                     for j in range(i + 1, n) for k in range(n)])
+    qbs.append(QuasiBialgebra(g, Cocycle(g, rand_cocycle_array(rng, n)),
+                              rand_antisym(rng, n, 3)))
+    for qb in qbs:
+        want = oracle_twist_coefficients(qb.algebra.c, qb.delta.d, qb.phi.data)
+        assert twist_equations(qb).equations == want
+
+
+def direct_sum(*algebras) -> LieAlgebra:
+    n = sum(g.dim for g in algebras)
+    c = rzeros((n, n, n))
+    at = 0
+    for g in algebras:
+        end = at + g.dim
+        c[at:end, at:end, at:end] = g.c
+        at = end
+    return LieAlgebra(c)
+
+
+def test_twist_equations_above_dim_10_sort_monomials_by_name():
+    # sl2 + so3 + sl2 + aff1 (dim 11): "r_1_10" sorts before "r_1_2", so
+    # the emitted order is not the integer-index order
+    g = direct_sum(sl2(), so3(), sl2(), aff1())
+    r0 = Tensor.from_alternating_entries(11, 2, [((0, 2), 1), ((3, 9), 2),
+                                                 ((5, 10), Fraction(-1, 3))])
+    phi = Tensor.from_alternating_entries(11, 3, [((0, 4, 10), 1), ((1, 9, 10), -2),
+                                                  ((2, 3, 7), Fraction(1, 2))])
+    qb = QuasiBialgebra(g, Cocycle.coboundary(g, r0), phi)
+    system = twist_equations(qb)
+    index = {name: i for i, name in enumerate(system.unknowns)}
+    reordered = False
+    for eq in system.as_dict()["equations"]:
+        monos = [tuple(m["vars"]) for m in eq["monomials"]]
+        assert all(list(m) == sorted(m) for m in monos)
+        assert monos == sorted(monos)
+        reordered |= monos != sorted(monos, key=lambda m: sorted(index[v] for v in m))
+    assert reordered
+    rng = random.Random(61)
+    for _ in range(3):
+        r = rand_antisym(rng, 11)
+        res = system.residual(r)
+        assert system.evaluate(r) == [res.data[t] for t in system.triples]
+
+
+def test_twist_equations_gl3_bytes():
+    system = twist_equations(manin_quasi_triple(gl_trace_form(3)))
+    digest = hashlib.sha256(dumps_canonical(system.as_dict()).encode()).hexdigest()
+    assert digest == "b48c4b905d8adba0ae24111849e55ca5d96b1e1b45697ca6cc1e2d8d2bdb9c06"
