@@ -22,7 +22,7 @@ from .homogeneous import HomDatum
 from .liealg import (MAX_DIM, Cocycle, LieAlgebra, QuasiBialgebra, Verdict,
                      closed_under_bracket, cyb_components, residual_verdict)
 from .subspace import Subspace, rref, solve_exact
-from .tensor import Tensor, ONE, as_rational, rarray, reye, rzeros
+from .tensor import Tensor, ONE, as_rational, rarray, reye, rzeros, scaled, unscaled
 
 HALF = Fraction(1, 2)
 
@@ -91,7 +91,8 @@ def manin_quasi_triple(q: QuadraticLieAlgebra) -> QuasiBialgebra:
     invariant (`QuadraticLieAlgebra` checks both), and ad-invariant when
     g also satisfies Jacobi; tests/test_catalog.py checks both claims."""
     g = q.algebra
-    phi = Tensor(g.dim, -cyb_components(g.c, q.b_inv), antisymmetric=True)
+    (c, omega), den = scaled(g.c, q.b_inv)
+    phi = Tensor(g.dim, unscaled(-cyb_components(c, omega), den ** 3), antisymmetric=True)
     return QuasiBialgebra(g, Cocycle.zero(g), phi)
 
 

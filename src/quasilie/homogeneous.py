@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .double import (DoubleAlgebra, build_double, intersect_with_g,
                      is_lagrangian, is_subalgebra)
-from .liealg import (QuasiBialgebra, Verdict, ad_tensor_components,
-                     closed_under_bracket, cyb, half_alt_delta)
-from .subspace import Subspace, annihilator, project_quotient
-from .tensor import Tensor, rzeros
+from .liealg import (QuasiBialgebra, Verdict, closed_under_bracket, cyb_components,
+                     half_alt_delta_components, leibniz_components)
+from .subspace import Subspace, annihilator
+from .tensor import Tensor, push_components, rzeros, scaled, unscaled
 
 
 class HomDatum:
@@ -62,21 +64,29 @@ def dirac_span(d: HomDatum) -> Subspace:
 
 def obstruction(d: HomDatum) -> Tensor:
     """Image of phi - CYB(r) + (1/2) Alt(delta (x) id) r in the exterior
-    cube of g/h."""
-    t = d.qb.phi - cyb(d.qb.algebra, d.r) + half_alt_delta(d.qb.delta, d.r)
-    return project_quotient(t, d.h)
+    cube of g/h.  On integers the 3-tensor is over den^3 and each slot's
+    push through the quotient matrix adds one den, so the image is over
+    den^6."""
+    qb = d.qb
+    (c, dd, phi, r, m), den = scaled(qb.algebra.c, qb.delta.d, qb.phi.data,
+                                     d.r.data, d.h.quotient_matrix())
+    t = den * (den * phi + half_alt_delta_components(dd, r)) - cyb_components(c, r)
+    return Tensor(m.shape[0], unscaled(push_components(m, t), den ** 6),
+                  antisymmetric=True)
 
 
 def stability_residuals(d: HomDatum) -> list[Tensor]:
     """Image of delta(a) + ad_a r in the exterior square of g/h, one
-    residual per basis vector a of h."""
-    g = d.qb.algebra
+    residual per basis vector a of h.  On integers each bivector is over
+    den^3 and its image over den^5."""
+    qb = d.qb
+    (c, dd, r, h, m), den = scaled(qb.algebra.c, qb.delta.d, d.r.data,
+                                   d.h.rows, d.h.quotient_matrix())
     out = []
-    for j in range(d.h.dim):
-        a = d.h.rows[j]
-        t = Tensor(g.dim, d.qb.delta.delta(a).data
-                   + ad_tensor_components(g.c, a, d.r.data))
-        out.append(project_quotient(t, d.h))
+    for a in h:
+        t = (den * np.tensordot(a, dd, axes=(0, 0))
+             + leibniz_components(np.tensordot(a, c, axes=(0, 0)).T, r))
+        out.append(Tensor(m.shape[0], unscaled(push_components(m, t), den ** 5)))
     return out
 
 

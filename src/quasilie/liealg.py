@@ -97,14 +97,20 @@ def check_jacobi(g: LieAlgebra) -> Verdict:
 
 def closed_under_bracket(g: LieAlgebra, rows) -> Verdict:
     """Closure of a spanning set under the bracket, with membership taken
-    against the span itself; bilinearity makes basis pairs sufficient."""
+    against the span itself; bilinearity makes basis pairs sufficient.
+    The witness is the first echelon pair (i, j), i < j, whose bracket
+    leaves the span, and the residual its remainder against the basis."""
     from .subspace import Subspace
     sub = rows if isinstance(rows, Subspace) else Subspace(g.dim, rows)
-    for i in range(sub.dim):
-        for j in range(i + 1, sub.dim):
-            rem = sub.reduce(g.bracket(sub.rows[i], sub.rows[j]))
-            if rem.any():
-                return Verdict(False, witness=(i, j), residual=rem)
+    (c, ell), den = scaled(g.c, sub.rows)
+    pivots = list(sub.pivots)
+    for i in range(sub.dim - 1):
+        b = ell[i + 1:] @ np.tensordot(ell[i], c, axes=(0, 0))   # [L_i, L_j], over den^3
+        # the basis is in RREF, so removing each pivot coordinate times its
+        # row is the whole reduction; over den^4
+        v = residual_verdict(den * b - b[:, pivots] @ ell, lead=1, den=den ** 4)
+        if not v.ok:
+            return Verdict(False, witness=(i, i + 1 + v.witness[0]), residual=v.residual)
     return Verdict(True)
 
 
@@ -122,6 +128,12 @@ def ad_tensor_components(c: np.ndarray, x, arr: np.ndarray) -> np.ndarray:
     """Leibniz action of ad_x on a degree-k component array."""
     x = np.asarray(x, dtype=object)
     return leibniz_components(np.tensordot(x, c, axes=(0, 0)).T, arr)
+
+
+def coboundary_components(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """out[i] = ad_{e_i} r for a square matrix r, at the array level."""
+    return (np.tensordot(c, r, axes=(1, 0))
+            + np.transpose(np.tensordot(c, r, axes=(1, 1)), (0, 2, 1)))
 
 
 def ad_multi(g: LieAlgebra, x, t: Tensor) -> Tensor:
@@ -172,11 +184,7 @@ class Cocycle:
     @classmethod
     def coboundary(cls, algebra: LieAlgebra, r: Tensor) -> "Cocycle":
         """delta(x) = ad_x r for a bivector r."""
-        n = algebra.dim
-        d = rzeros((n, n, n))
-        for i in range(n):
-            d[i] = leibniz_components(algebra.c[i].T, r.data)
-        return cls(algebra, d)
+        return cls(algebra, coboundary_components(algebra.c, r.data))
 
     def delta(self, x) -> Tensor:
         x = np.asarray(x, dtype=object)
@@ -292,8 +300,9 @@ def cyb(g: LieAlgebra, r: Tensor) -> Tensor:
     """Classical Yang-Baxter expression of a bivector, as a 3-tensor."""
     if r.dim != g.dim or r.degree != 2:
         raise ValueError("cyb expects a degree-2 tensor over g")
+    (c, ri), den = scaled(g.c, r.data)
     # antisymmetry of r and of the bracket alone make CYB(r) antisymmetric
-    return Tensor(g.dim, cyb_components(g.c, r.data),
+    return Tensor(g.dim, unscaled(cyb_components(c, ri), den ** 3),
                   antisymmetric=r.antisymmetric or r.is_antisymmetric())
 
 

@@ -264,9 +264,15 @@ def apply_linear(matrix: np.ndarray, t: Tensor) -> Tensor:
     new_dim = matrix.shape[0]
     if matrix.shape[1] != t.dim:
         raise ValueError("linear map does not match tensor dimension")
-    cur = t.data
-    for axis in range(t.degree):
-        cur = np.moveaxis(np.tensordot(matrix, cur, axes=(1, axis)), 0, axis)
+    cur = push_components(matrix, t.data)
     if t.degree == 0:
         cur = cur.copy()
     return Tensor(new_dim, cur, antisymmetric=t.antisymmetric)
+
+
+def push_components(matrix: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Every slot of arr pushed through matrix (array level, `Fraction` or
+    int entries)."""
+    for axis in range(arr.ndim):
+        arr = np.moveaxis(np.tensordot(matrix, arr, axes=(1, axis)), 0, axis)
+    return arr

@@ -21,9 +21,10 @@ import numpy as np
 from .double import (DoubleAlgebra, build_double, certify_bracket_map,
                      certify_form_map)
 from .homogeneous import HomDatum, is_quasi_poisson_datum
-from .liealg import Cocycle, QuasiBialgebra, Verdict, cyb, half_alt_delta
+from .liealg import (Cocycle, QuasiBialgebra, Verdict, coboundary_components, cyb,
+                     cyb_components, half_alt_delta, half_alt_delta_components)
 from .subspace import Subspace
-from .tensor import ZERO, Tensor, reye
+from .tensor import ZERO, Tensor, reye, scaled, unscaled
 
 
 def twist(qb: QuasiBialgebra, r: Tensor) -> QuasiBialgebra:
@@ -34,9 +35,12 @@ def twist(qb: QuasiBialgebra, r: Tensor) -> QuasiBialgebra:
         raise ValueError("twist expects a bivector over g")
     if not (r.antisymmetric or r.is_antisymmetric()):
         raise ValueError("twist bivector must be antisymmetric")
-    d_new = qb.delta.d + Cocycle.coboundary(g, r).d
-    phi_new = qb.phi + half_alt_delta(qb.delta, r) - cyb(g, r)
-    return QuasiBialgebra(g, Cocycle(g, d_new), phi_new)
+    (c, d, phi, ri), den = scaled(g.c, qb.delta.d, qb.phi.data, r.data)
+    d_new = den * d + coboundary_components(c, ri)                  # over den^2
+    phi_new = (den * (den * phi + half_alt_delta_components(d, ri))
+               - cyb_components(c, ri))                             # over den^3
+    return QuasiBialgebra(g, Cocycle(g, unscaled(d_new, den ** 2)),
+                          Tensor(n, unscaled(phi_new, den ** 3), antisymmetric=True))
 
 
 def f_r_matrix(qb: QuasiBialgebra, r: Tensor) -> np.ndarray:

@@ -248,3 +248,76 @@ def oracle_bracket_map(c_src, c_dst, m):
         if res.any():
             return (i, j), res
     return None
+
+
+def oracle_reduce(rows, v):
+    """v minus the combination of the echelon rows that clears each row's
+    leading coordinate, eliminated one row at a time.  The remainder is
+    the unique vector of v + span(rows) that vanishes at every leading
+    coordinate, so any elimination order gives the same one."""
+    v = np.array(v, dtype=object)
+    for row in rows:
+        lead = next(k for k, x in enumerate(row) if x)
+        coef = v[lead] / row[lead]
+        if coef:
+            for k in range(len(v)):
+                v[k] -= coef * row[k]
+    return v
+
+
+def oracle_closure(c, rows):
+    """[L_i, L_j] reduced against the rows L of an echelon basis, i < j."""
+    for i, j in combinations(range(len(rows)), 2):
+        res = oracle_reduce(rows, oracle_bracket(c, rows[i], rows[j]))
+        if res.any():
+            return (i, j), res
+    return None
+
+
+def oracle_quotient_map(rows, n):
+    """g -> g/h for h spanned by the echelon rows, the quotient
+    coordinates being the non-leading ones: column k is the remainder of
+    e_k read off at those coordinates."""
+    leads = {next(k for k, x in enumerate(row) if x) for row in rows}
+    free = [k for k in range(n) if k not in leads]
+    m = fzeros((len(free), n))
+    for k in range(n):
+        rem = oracle_reduce(rows, unit(n, k))
+        for a, f in enumerate(free):
+            m[a, k] = rem[f]
+    return m
+
+
+def oracle_project(m, t):
+    """Every slot of t pushed through m, term by term."""
+    q = m.shape[0]
+    out = fzeros((q,) * t.ndim)
+    for idx in np.ndindex(t.shape):
+        if not t[idx]:
+            continue
+        for target in product(range(q), repeat=t.ndim):
+            v = t[idx]
+            for slot, a in enumerate(target):
+                v = v * m[a, idx[slot]]
+            out[target] += v
+    return out
+
+
+def oracle_obstruction(c, d, phi, r, h_rows):
+    """phi - CYB(r) + (1/2)Alt(delta (x) id)r in the exterior cube of g/h."""
+    t = phi - oracle_cyb(c, r) + oracle_half_alt_delta(d, r)
+    return oracle_project(oracle_quotient_map(h_rows, c.shape[0]), t)
+
+
+def oracle_stability(c, d, r, h_rows):
+    """delta(a) + ad_a r in the exterior square of g/h, for each row a."""
+    n = c.shape[0]
+    m = oracle_quotient_map(h_rows, n)
+    out = []
+    for a in h_rows:
+        t = oracle_ad_tensor(c, a, r)
+        for i in range(n):
+            if a[i]:
+                t += a[i] * d[i]
+        out.append(oracle_project(m, t))
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -269,8 +270,12 @@ def test_json_out_and_quiet(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same quasilie as this process, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "quasilie.cli", "catalog", "aff1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 2

@@ -1,7 +1,11 @@
-"""The integer certificate kernels against the loop oracles of `_oracles`,
-on large rationals: the same verdict, witness and residual (same shape,
-equal `Fraction`s).  Twisted catalog structures pass every certificate
-by theorem; single-entry perturbations of them exercise the witnesses."""
+"""The integer kernels against the loop oracles of `_oracles`, on large
+rationals: the same verdict, witness and residual (same shape, equal
+`Fraction`s).  Twisted catalog structures pass every certificate by
+theorem; single-entry perturbations of them exercise the witnesses.  The
+classify kernels (closure of h and of L, obstruction, stability) run on
+data transported along the same twists, which pass when the untwisted
+datum does, and on perturbed data and fractional subspaces, which mostly
+fail."""
 
 import random
 from fractions import Fraction
@@ -10,16 +14,22 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from quasilie.catalog import builtin, manin_quasi_triple
+from quasilie.catalog import (QuadraticLieAlgebra, builtin, manin_quasi_triple,
+                              sl2_trace_form)
 from quasilie.double import (DoubleAlgebra, build_double, certify_bracket_map,
                              check_double_axioms)
+from quasilie.homogeneous import (HomDatum, is_quasi_poisson_datum, obstruction,
+                                  stability_residuals)
 from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra, check_cocycle,
-                             check_jacobi, check_pentagon, check_quasi_cojacobi)
-from quasilie.tensor import Tensor, perm_sign
+                             check_jacobi, check_pentagon, check_quasi_cojacobi,
+                             closed_under_bracket, cyb)
+from quasilie.subspace import Subspace
+from quasilie.tensor import Tensor, perm_sign, rarray
 from quasilie.twisting import f_r_matrix, twist
 
-from _oracles import (oracle_bracket_map, oracle_cocycle, oracle_jacobi,
-                      oracle_pentagon, oracle_q_invariance, oracle_quasi_cojacobi)
+from _oracles import (oracle_bracket_map, oracle_closure, oracle_cocycle, oracle_cyb,
+                      oracle_jacobi, oracle_obstruction, oracle_pentagon,
+                      oracle_q_invariance, oracle_quasi_cojacobi, oracle_stability)
 from conftest import big_bivector, big_frac, gl_trace_form
 
 
@@ -37,16 +47,20 @@ def twisted(name, rng):
     return qb, r, twist(qb, r)
 
 
+def assert_equal_fractions(got, want):
+    got = np.asarray(got, dtype=object)
+    assert got.shape == np.shape(want)
+    assert all(type(x) is Fraction for x in got.flat)
+    assert np.array_equal(got, np.asarray(want, dtype=object))
+
+
 def assert_same(v, oracle):
     if oracle is None:
         assert v.ok and v.witness is None and v.residual is None
         return
     witness, res = oracle
     assert not v.ok and v.witness == witness
-    got = np.asarray(v.residual, dtype=object)
-    assert got.shape == np.shape(res)
-    assert all(type(x) is Fraction for x in got.flat)
-    assert np.array_equal(got, np.asarray(res, dtype=object))
+    assert_equal_fractions(v.residual, res)
 
 
 def assert_checks_match(qb):
@@ -127,3 +141,83 @@ def test_integer_kernels_match_oracles_on_perturbations(name):
     m = f_r_matrix(qb, r)
     m[rng.randrange(src.dim), rng.randrange(src.dim)] += big_frac(rng)
     assert not assert_map_matches(src.algebra, dst.algebra, m).ok
+
+
+def gl2_subalgebras(rng):
+    """Subalgebras of gl(2) on the basis (E00, E01, E10, E11); the first
+    has echelon rows (1, 0, 0, x), (0, 1, 0, 0), since [E00 + x E11, E01]
+    = (1 - x) E01."""
+    x = big_frac(rng)
+    return [Subspace(4, rarray([[1, 0, 0, x], [0, 1, 0, 0]])),
+            Subspace(4, rarray([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])),
+            Subspace.zero(4), Subspace.full(4)]
+
+
+def subspaces(name, rng, n):
+    """Subalgebras of the base algebra, a line with fractional echelon row
+    and a fractional plane, which is rarely a subalgebra."""
+    subs = gl2_subalgebras(rng) if name == "manin_gl2" else builtin(name).subalgebras
+    line = [1] + [big_frac(rng) for _ in range(n - 1)]
+    plane = [[1, 0] + [big_frac(rng) for _ in range(n - 2)],
+             [0, 1] + [big_frac(rng) for _ in range(n - 2)]]
+    return list(subs) + [Subspace(n, rarray([line])), Subspace(n, rarray(plane))]
+
+
+def assert_datum_matches(d):
+    """The closure of h and of L, the obstruction and the stability
+    residuals of d against the oracles; returns the closure verdicts."""
+    qb, h, r = d.qb, d.h, d.r.data
+    c, dd, phi = qb.algebra.c, qb.delta.d, qb.phi.data
+    h_closure = closed_under_bracket(qb.algebra, h)
+    assert_same(h_closure, oracle_closure(c, h.rows))
+    rep = is_quasi_poisson_datum(d)
+    assert_same(rep.span_closure, oracle_closure(rep.double.algebra.c, rep.span.rows))
+    assert_equal_fractions(obstruction(d).data, oracle_obstruction(c, dd, phi, r, h.rows))
+    got = stability_residuals(d)
+    want = oracle_stability(c, dd, r, h.rows)
+    assert len(got) == len(want) == h.dim
+    for t, w in zip(got, want):
+        assert_equal_fractions(t.data, w)
+    return h_closure, rep.span_closure
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_classify_kernels_match_oracles_on_twisted_data(name):
+    rng = random.Random("classify " + name)
+    qb, r, tq = twisted(name, rng)
+    n = qb.dim
+    verdicts = []
+    fractional = False
+    for h in subspaces(name, rng, n):
+        fractional |= any(x.denominator != 1 for x in h.quotient_matrix().flat)
+        # (h, -r) over the twist is the transport of (h, 0), so it passes
+        # or fails with it; a further big bivector breaks most data
+        passes = is_quasi_poisson_datum(HomDatum(qb, h, Tensor.zero(n, 2))).verdict
+        moved = HomDatum(tq, h, -r)
+        assert is_quasi_poisson_datum(moved).verdict == passes
+        verdicts += assert_datum_matches(moved)
+        verdicts += assert_datum_matches(HomDatum(tq, h, big_bivector(rng, n) - r))
+    assert fractional
+    # in dim 2 every subspace is a subalgebra and every L is closed: the
+    # obstruction lies in a zero exterior cube, and stability is vacuous
+    # or lies in the zero exterior square of a line
+    assert any(v.ok for v in verdicts)
+    assert any(not v.ok for v in verdicts) or n == 2
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_cyb_matches_oracle_on_big_bivectors(name):
+    rng = random.Random("cyb " + name)
+    qb, r, tq = twisted(name, rng)
+    got = cyb(tq.algebra, r)
+    assert got.antisymmetric
+    assert_equal_fractions(got.data, oracle_cyb(tq.algebra.c, r.data))
+
+
+@pytest.mark.parametrize("form", ["sl2", "gl2"])
+def test_manin_phi_matches_oracle(form):
+    # the form scaled by a big fraction, so that Omega carries denominators
+    q = sl2_trace_form() if form == "sl2" else gl_trace_form(2)
+    q = QuadraticLieAlgebra(q.algebra, big_frac(random.Random(form)) * q.b)
+    want = -oracle_cyb(q.algebra.c, q.b_inv)
+    assert_equal_fractions(manin_quasi_triple(q).phi.data, want)
