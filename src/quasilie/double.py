@@ -9,7 +9,6 @@ block-antidiagonal identity pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -73,12 +72,6 @@ def build_double(qb: QuasiBialgebra) -> DoubleAlgebra:
     return DoubleAlgebra(qb, LieAlgebra(full, labels=labels), q)
 
 
-def q_form(dbl: DoubleAlgebra, u, v) -> Fraction:
-    u = np.asarray(u, dtype=object)
-    v = np.asarray(v, dtype=object)
-    return np.tensordot(u, dbl.q @ v, axes=(0, 0))
-
-
 @dataclass
 class DoubleAxiomReport:
     jacobi: Verdict
@@ -119,21 +112,6 @@ def is_subalgebra(dbl: DoubleAlgebra, sub: Subspace) -> Verdict:
     return closed_under_bracket(dbl.algebra, sub)
 
 
-def lagrangian_from_bivector(dbl: DoubleAlgebra, r: Tensor) -> Subspace:
-    """Graph {(l (x) id) r + l : l in g*}; always Lagrangian and
-    transversal to g."""
-    n = dbl.n
-    if r.dim != n or r.degree != 2:
-        raise ValueError("expected a bivector over g")
-    if not (r.antisymmetric or r.is_antisymmetric()):
-        raise ValueError("bivector must be antisymmetric")
-    # row i is (e^i (x) id) r + e^i
-    sub = Subspace(2 * n, np.hstack([r.data, reye(n)]))
-    assert is_lagrangian(dbl, sub)
-    assert intersect_with_g(dbl, sub).dim == 0
-    return sub
-
-
 def certify_bracket_map(src: LieAlgebra, dst: LieAlgebra, m: np.ndarray) -> Verdict:
     """m([x,y]_src) = [m x, m y]_dst at every basis pair."""
     (cs, cd, m), den = scaled(src.c, dst.c, m)
@@ -155,7 +133,7 @@ def intersect_with_g(dbl: DoubleAlgebra, sub: Subspace) -> Subspace:
 
 
 def bivector_from_lagrangian(dbl: DoubleAlgebra, sub: Subspace, h: Subspace) -> Tensor:
-    """Inverse of the graph map: recover the bivector class over g/h from
+    """Inverse of `dirac_span`: recover the bivector class over g/h from
     a Lagrangian subspace with L intersect g = h."""
     if not is_lagrangian(dbl, sub):
         raise ValueError("not Lagrangian")
@@ -173,6 +151,5 @@ def bivector_from_lagrangian(dbl: DoubleAlgebra, sub: Subspace, h: Subspace) -> 
             wbar[s, a] = w[f]
         ubar[s] = m @ u
     v = solve_exact(wbar, ubar) if free else rzeros((0, 0))
-    t = Tensor(len(free), v)
-    assert t.is_antisymmetric()
+    # antisymmetric because L is Lagrangian
     return Tensor(len(free), v, antisymmetric=True)

@@ -136,20 +136,6 @@ def coboundary_components(c: np.ndarray, r: np.ndarray) -> np.ndarray:
             + np.transpose(np.tensordot(c, r, axes=(1, 1)), (0, 2, 1)))
 
 
-def ad_multi(g: LieAlgebra, x, t: Tensor) -> Tensor:
-    if t.degree < 1:
-        raise ValueError("ad_multi needs degree >= 1")
-    return Tensor(t.dim, ad_tensor_components(g.c, x, t.data),
-                  antisymmetric=t.antisymmetric)
-
-
-def coad_a(g: LieAlgebra, a, l) -> np.ndarray:
-    """Covector with <coad_a l, b> = -<l, [a, b]>."""
-    a = np.asarray(a, dtype=object)
-    l = np.asarray(l, dtype=object)
-    return -(np.tensordot(a, g.c, axes=(0, 0)) @ l)
-
-
 class Cocycle:
     __slots__ = ("algebra", "d")
 
@@ -193,20 +179,6 @@ class Cocycle:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cocycle) and self.algebra == other.algebra
                 and bool((self.d == other.d).all()))
-
-
-def bracket_delta(delta: Cocycle, l, m) -> np.ndarray:
-    """Covector with <[l,m]_delta, e_i> = <l (x) m, delta(e_i)>."""
-    l = np.asarray(l, dtype=object)
-    m = np.asarray(m, dtype=object)
-    return np.tensordot(np.tensordot(delta.d, m, axes=(2, 0)), l, axes=(1, 0))
-
-
-def coad_l(delta: Cocycle, l, a) -> np.ndarray:
-    """Vector with <coad_l a, m> = -<[l,m]_delta, a>."""
-    l = np.asarray(l, dtype=object)
-    a = np.asarray(a, dtype=object)
-    return -np.tensordot(l, np.tensordot(a, delta.d, axes=(0, 0)), axes=(0, 0))
 
 
 class QuasiBialgebra:

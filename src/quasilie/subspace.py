@@ -64,10 +64,6 @@ class Subspace:
         self.rows, self.pivots = rref(mat)
 
     @classmethod
-    def span(cls, vectors, ambient: int) -> "Subspace":
-        return cls(ambient, vectors)
-
-    @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient)
 
@@ -112,10 +108,6 @@ class Subspace:
 
     def member(self, vector) -> bool:
         return not self.reduce(vector).any()
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.member(other.rows[i]) for i in range(other.dim))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -3,8 +3,7 @@
 Tensors are dense numpy object arrays of `fractions.Fraction`; all
 arithmetic is exact and every comparison is an exact equality.  The
 antisymmetrization convention is the plain signed sum over permutations
-(no 1/k! factor), and the wedge product of an m-tensor with an n-tensor
-carries the 1/(m! n!) normalization.
+(no 1/k! factor).
 
 The certificate kernels contract on integers instead: `scaled` clears
 the denominators of their inputs once, and `unscaled` turns a residual
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 
 import numpy as np
 
@@ -191,12 +190,6 @@ class Tensor:
             raise ValueError("tensor dimension/degree mismatch")
 
 
-def tensor_product(u: Tensor, v: Tensor) -> Tensor:
-    if u.dim != v.dim:
-        raise ValueError("tensor product needs a common ambient dimension")
-    return Tensor(u.dim, np.multiply.outer(u.data, v.data))
-
-
 def alt_components(arr: np.ndarray) -> np.ndarray:
     """Signed sum over all axis permutations (array level, `Fraction` or int
     entries)."""
@@ -211,50 +204,6 @@ def alt_components(arr: np.ndarray) -> np.ndarray:
 
 def alt(t: Tensor) -> Tensor:
     return Tensor(t.dim, alt_components(t.data), antisymmetric=True)
-
-
-def _require_antisym(t: Tensor, op: str):
-    if not (t.antisymmetric or t.is_antisymmetric()):
-        raise ValueError("%s requires an antisymmetric tensor" % op)
-
-
-def wedge(u: Tensor, v: Tensor) -> Tensor:
-    """(1/(m! n!)) Alt(u ⊗ v) for antisymmetric u, v."""
-    if u.dim != v.dim:
-        raise ValueError("wedge needs a common ambient dimension")
-    _require_antisym(u, "wedge")
-    _require_antisym(v, "wedge")
-    scale = Fraction(1, factorial(u.degree) * factorial(v.degree))
-    return scale * alt(tensor_product(u, v))
-
-
-def wedge_list(factors) -> Tensor:
-    out = factors[0]
-    for f in factors[1:]:
-        out = wedge(out, f)
-    return out
-
-
-def contract(covectors, t: Tensor, slots) -> Tensor:
-    """Pair covector j with tensor slot slots[j]; slots are positions in
-    the uncontracted tensor."""
-    covectors = [np.asarray(l, dtype=object) for l in covectors]
-    slots = list(slots)
-    if len(covectors) != len(slots):
-        raise ValueError("need one covector per slot")
-    if len(set(slots)) != len(slots):
-        raise ValueError("slots must be distinct")
-    for s in slots:
-        if not 0 <= s < t.degree:
-            raise ValueError("slot out of range: %d" % s)
-    for l in covectors:
-        if l.shape != (t.dim,):
-            raise ValueError("covector has wrong dimension")
-    cur = t.data
-    # consume from the highest slot down so remaining positions keep meaning
-    for s, l in sorted(zip(slots, covectors), key=lambda p: -p[0]):
-        cur = np.tensordot(l, cur, axes=(0, s))
-    return Tensor(t.dim, cur)
 
 
 def apply_linear(matrix: np.ndarray, t: Tensor) -> Tensor:

@@ -20,10 +20,9 @@ import numpy as np
 
 from .double import (DoubleAlgebra, build_double, certify_bracket_map,
                      certify_form_map)
-from .homogeneous import HomDatum, is_quasi_poisson_datum
+from .homogeneous import HomDatum
 from .liealg import (Cocycle, QuasiBialgebra, Verdict, coboundary_components, cyb,
                      cyb_components, half_alt_delta, half_alt_delta_components)
-from .subspace import Subspace
 from .tensor import ZERO, Tensor, reye, scaled, unscaled
 
 
@@ -87,41 +86,11 @@ def check_twist_iso(qb: QuasiBialgebra, r: Tensor) -> TwistReport:
                        bracket_ok=bracket, q_ok=form, fixes_g=fixes)
 
 
-@dataclass
-class ComposeReport:
-    delta_additive: bool
-    phi_additive: bool
-    matrix_law: bool
-
-
-def compose_twists(qb: QuasiBialgebra, r: Tensor, s: Tensor) -> ComposeReport:
-    """Compare twisting by r then s against twisting by r + s.  The
-    matrix law is forced algebraically; additivity of (delta, phi) is
-    reported as evidence, not presumed."""
-    two_step = twist(twist(qb, r), s)
-    one_step = twist(qb, r + s)
-    m_two = f_r_matrix(qb, s) @ f_r_matrix(qb, r)
-    m_one = f_r_matrix(qb, r + s)
-    matrix_law = not (m_two - m_one).any()
-    assert matrix_law, "unipotent block matrices must compose additively"
-    return ComposeReport(
-        delta_additive=bool((two_step.delta.d == one_step.delta.d).all()),
-        phi_additive=two_step.phi == one_step.phi,
-        matrix_law=matrix_law,
-    )
-
-
 def twist_datum(d: HomDatum, r: Tensor) -> HomDatum:
     """Transport a datum to the twisted quasi-bialgebra: (h, r_d - r).
-    The double isomorphism must carry the old Lagrangian onto the new
-    one, and the classification verdict must be preserved."""
-    new = HomDatum(twist(d.qb, r), d.h, d.r - r)
-    old, moved = is_quasi_poisson_datum(d), is_quasi_poisson_datum(new)
-    m = f_r_matrix(d.qb, r)
-    image = Subspace(2 * d.qb.dim, [m @ row for row in old.span.rows])
-    assert image == moved.span, "twist must carry the Lagrangian onto its transport"
-    assert old.verdict == moved.verdict
-    return new
+    `f_r_matrix` carries the Dirac span of d onto that of the result, so
+    the classification verdict is unchanged."""
+    return HomDatum(twist(d.qb, r), d.h, d.r - r)
 
 
 def unknown_name(i: int, j: int) -> str:

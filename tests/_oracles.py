@@ -54,6 +54,51 @@ def oracle_bracket(c, x, y):
     return out
 
 
+def coad_a(c, a, l):
+    """Covector with <coad_a l, b> = -<l, [a, b]>."""
+    n = c.shape[0]
+    out = fzeros((n,))
+    for i, b, k in product(range(n), repeat=3):
+        if a[i] and c[i, b, k]:
+            out[b] -= a[i] * c[i, b, k] * l[k]
+    return out
+
+
+def bracket_delta(d, l, m):
+    """Covector with <[l,m]_delta, e_i> = <l (x) m, delta(e_i)>."""
+    n = d.shape[0]
+    out = fzeros((n,))
+    for i, j, k in product(range(n), repeat=3):
+        if d[i, j, k]:
+            out[i] += l[j] * m[k] * d[i, j, k]
+    return out
+
+
+def coad_l(d, l, a):
+    """Vector with <coad_l a, m> = -<[l,m]_delta, a>."""
+    n = d.shape[0]
+    out = fzeros((n,))
+    for i, j, k in product(range(n), repeat=3):
+        if d[i, j, k]:
+            out[k] -= a[i] * l[j] * d[i, j, k]
+    return out
+
+
+def oracle_double_bracket(c, d, phi, x, y):
+    """[a + l, b + m] in g + g* (dual part at coordinate n + i) from the
+    three bracket rules: [a, b] in g, [a, m] = coad_a m - coad_l a and
+    [l, m] = [l, m]_delta - (l (x) m (x) id) phi, extended bilinearly."""
+    n = c.shape[0]
+    a, l, b, m = x[:n], x[n:], y[:n], y[n:]
+    contraction = fzeros((n,))
+    for i, j, k in product(range(n), repeat=3):
+        if phi[i, j, k]:
+            contraction[k] += l[i] * m[j] * phi[i, j, k]
+    g_part = oracle_bracket(c, a, b) - coad_l(d, m, a) + coad_l(d, l, b) - contraction
+    dual_part = coad_a(c, a, m) - coad_a(c, b, l) + bracket_delta(d, l, m)
+    return np.concatenate([g_part, dual_part])
+
+
 def oracle_ad_tensor(c, x, arr):
     """Leibniz action of ad_x, slot by slot."""
     n = c.shape[0]

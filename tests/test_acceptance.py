@@ -18,16 +18,16 @@ from quasilie.catalog import (builtin, graph_lagrangian, graph_subspace,
                               sl2_weyl_automorphism, so3_standard_form)
 from quasilie.cli import main as cli_main
 from quasilie.double import (build_double, check_double_axioms,
-                             intersect_with_g, is_lagrangian, is_subalgebra,
-                             lagrangian_from_bivector, q_form)
+                             intersect_with_g, is_lagrangian, is_subalgebra)
 from quasilie.homogeneous import (HomDatum, dirac_span, obstruction,
                                   stability_residuals)
-from quasilie.liealg import (Cocycle, QuasiBialgebra, ad_multi, axiom_report,
-                             check_cocycle, check_pentagon,
+from quasilie.liealg import (Cocycle, QuasiBialgebra, ad_tensor_components,
+                             axiom_report, check_cocycle, check_pentagon,
                              check_quasi_cojacobi, closed_under_bracket, cyb,
                              half_alt_delta)
 from quasilie.serialize import dumps_canonical
-from quasilie.tensor import Tensor, rarray, wedge_list
+from quasilie.subspace import Subspace
+from quasilie.tensor import Tensor, rarray
 from quasilie.twisting import certify_double_map, check_twist_iso, twist
 
 from _oracles import oracle_pairing
@@ -206,7 +206,7 @@ def test_criterion_5_transversal_correspondence(catalog_entries):
         bad = 0
         for r in bivectors:
             solves = system.residual(r).is_zero()
-            closes = is_subalgebra(dbl, lagrangian_from_bivector(dbl, r)).ok
+            closes = is_subalgebra(dbl, dirac_span(HomDatum(qb, Subspace.zero(n), r))).ok
             if solves != closes:
                 bad += 1
         if bad:
@@ -225,11 +225,10 @@ def test_criterion_6_quadratic_suite():
     rep = axiom_report(qb)
     if not all(v.ok for v in rep.values()):
         failures.append("quasi-triple axioms fail")
-    e, h, f = (Tensor.basis(3, i) for i in range(3))
-    if qb.phi != Fraction(-1) * wedge_list([e, h, f]):
+    if qb.phi != Tensor.from_alternating_entries(3, 3, [((0, 1, 2), -1)]):
         failures.append("phi regression value changed")
     for i in range(3):
-        if not ad_multi(qb.algebra, Tensor.basis(3, i).data, qb.phi).is_zero():
+        if ad_tensor_components(qb.algebra.c, Tensor.basis(3, i).data, qb.phi.data).any():
             failures.append("phi not invariant")
     for quad in (q, so3_standard_form()):
         model = product_double_model(quad)
@@ -243,7 +242,7 @@ def test_criterion_6_quadratic_suite():
     for a in autos:
         try:
             graph_lagrangian(q, a)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             failures.append("automorphism rejected: %s" % exc)
     so3q = so3_standard_form()
     for a in (rarray([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
@@ -251,7 +250,7 @@ def test_criterion_6_quadratic_suite():
                       [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]])):
         try:
             graph_lagrangian(so3q, a)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             failures.append("so3 automorphism rejected: %s" % exc)
 
     controls = [(q, rarray([[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
@@ -289,18 +288,18 @@ def test_criterion_7_pairing_identities(catalog_entries):
             t1 = np.tensordot(r.data, qb.algebra.c, axes=(0, 0))
             t1 = np.transpose(np.tensordot(r.data, t1, axes=(0, 1)), (2, 1, 0))
             ok1 = (oracle_pairing(ls, t1)
-                   == q_form(dbl, dbl.algebra.bracket(emb[0], remb[1]), remb[2]))
+                   == dbl.algebra.bracket(emb[0], remb[1]) @ dbl.q @ remb[2])
 
             t2 = np.transpose(np.tensordot(r.data, qb.delta.d, axes=(0, 0)), (1, 2, 0))
             ok2 = (oracle_pairing(ls, t2)
-                   == -q_form(dbl, dbl.algebra.bracket(emb[0], emb[1]), remb[2]))
+                   == -(dbl.algebra.bracket(emb[0], emb[1]) @ dbl.q @ remb[2]))
 
             ok3 = (oracle_pairing(ls, qb.phi.data)
-                   == -q_form(dbl, dbl.algebra.bracket(emb[0], emb[1]), emb[2]))
+                   == -(dbl.algebra.bracket(emb[0], emb[1]) @ dbl.q @ emb[2]))
 
             lifted = [e + re for e, re in zip(emb, remb)]
             combined = (-qb.phi + cyb(qb.algebra, r) - half_alt_delta(qb.delta, r))
-            ok4 = (q_form(dbl, dbl.algebra.bracket(lifted[0], lifted[1]), lifted[2])
+            ok4 = (dbl.algebra.bracket(lifted[0], lifted[1]) @ dbl.q @ lifted[2]
                    == oracle_pairing(ls, combined.data))
             if not (ok1 and ok2 and ok3 and ok4):
                 bad += 1

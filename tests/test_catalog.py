@@ -14,15 +14,31 @@ from quasilie.catalog import (QuadraticLieAlgebra, builtin, canonical_names,
                               sl2_trace_form, sl2_weyl_automorphism,
                               so3_standard_form)
 from quasilie.double import build_double, check_double_axioms
-from quasilie.liealg import (MAX_DIM, Cocycle, QuasiBialgebra, ad_multi, axiom_report,
-                             check_quasi_cojacobi, closed_under_bracket)
+from quasilie.liealg import (MAX_DIM, Cocycle, QuasiBialgebra, ad_tensor_components,
+                             axiom_report, check_quasi_cojacobi, closed_under_bracket)
 from quasilie.subspace import Subspace
-from quasilie.tensor import Tensor, rarray, rzeros, wedge_list
+from quasilie.tensor import Tensor, rarray, rzeros
 
 from _oracles import oracle_cyb
 from conftest import gl_trace_form
 
 DATA = Path(catalog.__file__).parent / "data"
+
+VOLUME = Tensor.from_alternating_entries(3, 3, [((0, 1, 2), 1)])   # e0 ^ e1 ^ e2
+
+
+def assert_graph_lagrangian(q, a):
+    """graph_lagrangian(q, a) is isotropic for the split form of g x g, of
+    dim n, closed under the bracket of g x g, and meets the diagonal in the
+    fixed points of a; returns the graph."""
+    graph = graph_lagrangian(q, a)
+    prod, form = product_algebra(q)
+    n = q.algebra.dim
+    assert not (graph.rows @ form @ graph.rows.T).any()
+    assert graph.dim == n
+    assert closed_under_bracket(prod, graph).ok
+    assert graph.intersect(diagonal_subspace(n)) == fixed_point_diagonal(a)
+    return graph
 
 
 def test_every_builtin_passes_all_axioms(catalog_entries):
@@ -46,18 +62,15 @@ def test_sl2_coboundary_values():
     qb = builtin("sl2_coboundary").algebra
     c = qb.algebra.c
     assert c[1, 0, 0] == 2 and c[1, 2, 2] == -2 and c[0, 2, 1] == 1
-    e, h, f = (Tensor.basis(3, i) for i in range(3))
-    from quasilie.tensor import wedge
-    assert Tensor(3, qb.delta.d[0]) == wedge(e, h)
-    assert Tensor(3, qb.delta.d[2]) == wedge(f, h)
+    assert Tensor(3, qb.delta.d[0]) == Tensor.from_alternating_entries(3, 2, [((0, 1), 1)])
+    assert Tensor(3, qb.delta.d[2]) == Tensor.from_alternating_entries(3, 2, [((1, 2), -1)])
     assert not qb.delta.d[1].any()
 
 
 def test_sl2_invariant_phi_parametrized():
     for c in ("1", "5", "-3/2"):
         entry = builtin("sl2_invariant_phi(%s)" % c)
-        e, h, f = (Tensor.basis(3, i) for i in range(3))
-        assert entry.algebra.phi == Fraction(c) * wedge_list([e, h, f])
+        assert entry.algebra.phi == Fraction(c) * VOLUME
         assert entry.algebra.delta.d.any() == False
         assert all(v.ok for v in axiom_report(entry.algebra).values())
 
@@ -98,14 +111,13 @@ def test_trace_form_omega():
 
 def test_manin_quasi_triple_regression_constant():
     qb = builtin("manin_sl2_trace").algebra
-    e, h, f = (Tensor.basis(3, i) for i in range(3))
     # frozen after first derivation: phi = -CYB(Omega) = -(e ^ h ^ f)
-    assert qb.phi == Fraction(-1) * wedge_list([e, h, f])
+    assert qb.phi == -VOLUME
     assert qb.phi.data[0, 1, 2] == -1
     q = sl2_trace_form()
     assert (qb.phi.data == -oracle_cyb(qb.algebra.c, q.b_inv)).all()
     for i in range(3):
-        assert ad_multi(qb.algebra, Tensor.basis(3, i).data, qb.phi).is_zero()
+        assert not ad_tensor_components(qb.algebra.c, Tensor.basis(3, i).data, qb.phi.data).any()
 
 
 @pytest.mark.parametrize("q", [sl2_trace_form(), so3_standard_form(),
@@ -122,8 +134,7 @@ def test_manin_phi_is_antisymmetric_and_invariant(q):
 
 def test_manin_so3_phi():
     qb = builtin("manin_so3").algebra
-    x, y, z = (Tensor.basis(3, i) for i in range(3))
-    assert qb.phi == Fraction(-1) * wedge_list([x, y, z])
+    assert qb.phi == -VOLUME
 
 
 def test_manin_of_abelian_is_trivial():
@@ -154,19 +165,16 @@ def test_product_double_model_certifies():
 
 def test_graph_lagrangian_identity_is_diagonal():
     q = sl2_trace_form()
-    graph = graph_lagrangian(q, np.identity(3, dtype=object))
+    graph = assert_graph_lagrangian(q, np.identity(3, dtype=object))
     assert graph == diagonal_subspace(3)
     assert graph.intersect(diagonal_subspace(3)) == diagonal_subspace(3)
 
 
 def test_graph_lagrangian_scaling_family():
     q = sl2_trace_form()
-    prod, form = product_algebra(q)
     for t in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5)):
         a = sl2_scaling_automorphism(t)
-        graph = graph_lagrangian(q, a)
-        assert graph.dim == 3
-        assert closed_under_bracket(prod, graph).ok
+        graph = assert_graph_lagrangian(q, a)
         # fixed subalgebra of the scaling is the Cartan line
         fixed = graph.intersect(diagonal_subspace(3))
         expect = Subspace(6, rarray([[0, 1, 0, 0, 1, 0]]))
@@ -175,7 +183,7 @@ def test_graph_lagrangian_scaling_family():
 
 def test_graph_lagrangian_weyl():
     q = sl2_trace_form()
-    graph = graph_lagrangian(q, sl2_weyl_automorphism())
+    graph = assert_graph_lagrangian(q, sl2_weyl_automorphism())
     # fixed points of (e,h,f) -> (f,-h,e): the line through e + f
     fixed = graph.intersect(diagonal_subspace(3))
     assert fixed == Subspace(6, rarray([[1, 0, 1, 1, 0, 1]]))
@@ -190,7 +198,7 @@ def test_graph_lagrangian_so3_rotations():
                   [0, 0, 1]])
     for a in (cyclic, rot):
         assert is_automorphism(q.algebra, a).ok and is_b_orthogonal(q, a)
-        graph_lagrangian(q, a)
+        assert_graph_lagrangian(q, a)
 
 
 def test_orthogonal_non_automorphisms_error_and_fail_closure():

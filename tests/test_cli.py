@@ -69,6 +69,7 @@ MALFORMED = {   # argv; bytes are written verbatim, other non-str values as JSON
     "dim_float": ["validate", {"dim": 2.5}],
     "dim_string": ["validate", {"dim": "2"}],
     "catalog_over_cap": ["catalog", "abelian(%d)" % (MAX_DIM + 1)],
+    "catalog_zero_denominator": ["catalog", "sl2_invariant_phi(1/0)"],
     "index_null": ["validate", {"dim": 2, "bracket": [[0, None, 1, "1"]]}],
     "index_float": ["validate", {"dim": 2, "bracket": [[0, 1.9, 1, "1"]]}],
     "index_string": ["validate", {"dim": 2, "bracket": [[0, "1", 1, "1"]]}],

@@ -8,14 +8,14 @@ import pytest
 from quasilie.catalog import builtin, sl2
 from quasilie.double import (bivector_from_lagrangian, build_double,
                              check_double_axioms, intersect_with_g,
-                             is_isotropic, is_lagrangian, is_subalgebra,
-                             lagrangian_from_bivector, q_form)
+                             is_isotropic, is_lagrangian, is_subalgebra)
+from quasilie.homogeneous import HomDatum, dirac_span
 from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra, axiom_report,
                              check_cocycle)
 from quasilie.subspace import Subspace, project_quotient
-from quasilie.tensor import Tensor, rarray, rzeros
+from quasilie.tensor import Tensor, rarray, reye, rzeros
 
-from _oracles import oracle_jacobi_pass, oracle_pairing
+from _oracles import oracle_double_bracket, oracle_jacobi_pass, oracle_pairing
 from conftest import rand_antisym, rand_cocycle_array, rand_frac, rand_vector
 
 
@@ -32,6 +32,29 @@ def test_double_of_abelian_is_abelian_with_identity_pairing():
         assert dbl.q[i, j] == expected
 
 
+def _assert_bracket_rules(qb):
+    dbl = build_double(qb)
+    c, d, phi = qb.algebra.c, qb.delta.d, qb.phi.data
+    e = reye(dbl.dim)
+    for i, j in product(range(dbl.dim), repeat=2):
+        assert (dbl.algebra.c[i, j] == oracle_double_bracket(c, d, phi, e[i], e[j])).all()
+
+
+def test_build_double_matches_bracket_rules(catalog_entries):
+    # [a, l] = coad_a l - coad_l a and [l, m] = [l, m]_delta - (l (x) m (x) id) phi
+    for entry in catalog_entries:
+        _assert_bracket_rules(entry.algebra)
+    # broken sources too: the rules are definitions, not consequences of the axioms
+    rng = random.Random(37)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            entries = [(i, j, k, rand_frac(rng)) for i in range(n)
+                       for j in range(i + 1, n) for k in range(n)]
+            g = LieAlgebra.from_brackets(n, entries)
+            phi = rand_antisym(rng, n, 3) if n >= 3 else Tensor.zero(n, 3)
+            _assert_bracket_rules(QuasiBialgebra(g, Cocycle(g, rand_cocycle_array(rng, n)), phi))
+
+
 def test_g_bracket_reproduced_and_q_values():
     qb = builtin("sl2_coboundary").algebra
     dbl = build_double(qb)
@@ -40,11 +63,11 @@ def test_g_bracket_reproduced_and_q_values():
     for i, j in product(range(n), repeat=2):
         ei = rzeros((6,)); ei[i] = Fraction(1)
         ej_star = rzeros((6,)); ej_star[n + j] = Fraction(1)
-        assert q_form(dbl, ei, ej_star) == (1 if i == j else 0)
+        assert ei @ dbl.q @ ej_star == (1 if i == j else 0)
         ej = rzeros((6,)); ej[j] = Fraction(1)
-        assert q_form(dbl, ei, ej) == 0
+        assert ei @ dbl.q @ ej == 0
         ei_star = rzeros((6,)); ei_star[n + i] = Fraction(1)
-        assert q_form(dbl, ei_star, ej_star) == 0
+        assert ei_star @ dbl.q @ ej_star == 0
 
 
 def test_q_symmetric_on_random_vectors():
@@ -52,7 +75,7 @@ def test_q_symmetric_on_random_vectors():
     rng = random.Random(30)
     for _ in range(10):
         u, v = rand_vector(rng, 6), rand_vector(rng, 6)
-        assert q_form(dbl, u, v) == q_form(dbl, v, u)
+        assert u @ dbl.q @ v == v @ dbl.q @ u
 
 
 def test_dual_is_subalgebra_exactly_for_vanishing_phi():
@@ -153,24 +176,29 @@ def test_isotropy_and_lagrangian_examples():
     assert is_subalgebra(dbl, g_sub).ok
 
 
+def graph(qb, r):
+    """The Dirac span at h = 0: the graph of r over g*."""
+    return dirac_span(HomDatum(qb, Subspace.zero(qb.dim), r))
+
+
 def test_lagrangian_from_bivector():
-    dbl = build_double(builtin("sl2_coboundary").algebra)
-    assert lagrangian_from_bivector(dbl, Tensor.zero(3, 2)) == dbl.dual_subspace()
+    qb = builtin("sl2_coboundary").algebra
+    dbl = build_double(qb)
+    assert graph(qb, Tensor.zero(3, 2)) == dbl.dual_subspace()
     r = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])  # e ^ f
-    sub = lagrangian_from_bivector(dbl, r)
+    sub = graph(qb, r)
     assert sub.member(rarray([0, 0, 1, 1, 0, 0]))    # e* + f
     assert sub.member(rarray([-1, 0, 0, 0, 0, 1]))   # f* - e
     assert sub.member(rarray([0, 0, 0, 0, 1, 0]))    # h*
     rng = random.Random(33)
     for _ in range(50):
         rr = rand_antisym(rng, 3)
-        s = lagrangian_from_bivector(dbl, rr)
+        s = graph(qb, rr)
         assert s.dim == 3 and is_lagrangian(dbl, s)
         assert intersect_with_g(dbl, s).dim == 0
 
 
 def test_bivector_from_lagrangian_roundtrip():
-    from quasilie.homogeneous import HomDatum, dirac_span
     rng = random.Random(34)
     for name in ("sl2_coboundary", "aff1"):
         entry = builtin(name)
@@ -182,9 +210,10 @@ def test_bivector_from_lagrangian_roundtrip():
         # graph case: recovers r itself
         for _ in range(25):
             r = rand_antisym(rng, n)
-            sub = lagrangian_from_bivector(dbl, r)
+            sub = graph(entry.algebra, r)
             got = bivector_from_lagrangian(dbl, sub, Subspace.zero(n))
             assert got == Tensor(n, r.data, antisymmetric=True)
+            assert got.is_antisymmetric()
         # general case: recovers the class of r modulo h
         for _ in range(25):
             h = rng.choice(entry.subalgebras)
@@ -192,6 +221,7 @@ def test_bivector_from_lagrangian_roundtrip():
             sub = dirac_span(HomDatum(entry.algebra, h, r))
             got = bivector_from_lagrangian(dbl, sub, h)
             assert got == project_quotient(r, h)
+            assert got.is_antisymmetric()
 
 
 def test_bivector_from_lagrangian_errors():
@@ -220,14 +250,14 @@ def test_bracket_pairing_identities(catalog_entries):
             t1 = np.tensordot(r.data, qb.algebra.c, axes=(0, 0))
             t1 = np.transpose(np.tensordot(r.data, t1, axes=(0, 1)), (2, 1, 0))
             lhs = oracle_pairing(ls, t1)
-            rhs = q_form(dbl, dbl.algebra.bracket(emb[0], remb[1]), remb[2])
+            rhs = dbl.algebra.bracket(emb[0], remb[1]) @ dbl.q @ remb[2]
             assert lhs == rhs
 
             t2 = np.transpose(np.tensordot(r.data, qb.delta.d, axes=(0, 0)), (1, 2, 0))
             lhs = oracle_pairing(ls, t2)
-            rhs = -q_form(dbl, dbl.algebra.bracket(emb[0], emb[1]), remb[2])
+            rhs = -(dbl.algebra.bracket(emb[0], emb[1]) @ dbl.q @ remb[2])
             assert lhs == rhs
 
             lhs = oracle_pairing(ls, qb.phi.data)
-            rhs = -q_form(dbl, dbl.algebra.bracket(emb[0], emb[1]), emb[2])
+            rhs = -(dbl.algebra.bracket(emb[0], emb[1]) @ dbl.q @ emb[2])
             assert lhs == rhs

@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 
 from quasilie.catalog import builtin
-from quasilie.double import build_double, is_subalgebra, q_form
+from quasilie.double import build_double, is_subalgebra
 from quasilie.homogeneous import (HomDatum, ad_stable_direct, dirac_span,
                                   is_quasi_poisson_datum, obstruction,
                                   stability_residuals)
 from quasilie.liealg import cyb, half_alt_delta
 from quasilie.serialize import verdict_to_dict
 from quasilie.subspace import Subspace, annihilator, project_quotient
-from quasilie.tensor import Tensor, rarray
+from quasilie.tensor import Tensor, rarray, reye
 
 from _oracles import oracle_pairing
 from conftest import rand_antisym, rand_frac, rand_vector
@@ -27,14 +27,13 @@ def test_dirac_point_space_is_g():
 
 
 def test_dirac_transversal_case_matches_graph():
-    from quasilie.double import lagrangian_from_bivector
+    # at h = 0 the span is the graph {(l (x) id) r + l}: row i is r[i] + e^i
     entry = builtin("sl2_coboundary")
-    dbl = build_double(entry.algebra)
     rng = random.Random(40)
     for _ in range(20):
         r = rand_antisym(rng, 3)
         d = HomDatum(entry.algebra, Subspace.zero(3), r)
-        assert dirac_span(d) == lagrangian_from_bivector(dbl, r)
+        assert dirac_span(d) == Subspace(6, np.hstack([r.data, reye(3)]))
 
 
 def test_dirac_depends_only_on_class_of_r():
@@ -218,6 +217,6 @@ def test_q_pairing_identity_on_annihilator_triples():
                     l = l + rand_frac(rng) * row
                 ls.append(l)
             lifted = [dbl.embed_g(l @ r.data) + dbl.embed_dual(l) for l in ls]
-            lhs = q_form(dbl, dbl.algebra.bracket(lifted[0], lifted[1]), lifted[2])
+            lhs = dbl.algebra.bracket(lifted[0], lifted[1]) @ dbl.q @ lifted[2]
             integrand = (-qb.phi + cyb(qb.algebra, r) - half_alt_delta(qb.delta, r))
             assert lhs == oracle_pairing(ls, integrand.data)

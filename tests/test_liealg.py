@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from quasilie.catalog import aff1, sl2
-from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra, ad_multi,
-                             bracket_delta, check_cocycle, check_jacobi,
-                             check_pentagon, check_quasi_cojacobi, coad_a,
-                             coad_l, cyb, half_alt_delta)
-from quasilie.tensor import Tensor, alt, tensor_product, wedge_list
+from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra,
+                             ad_tensor_components, check_cocycle, check_jacobi,
+                             check_pentagon, check_quasi_cojacobi, cyb,
+                             half_alt_delta)
+from quasilie.tensor import Tensor, alt
 
-from _oracles import (fzeros, oracle_ad_tensor, oracle_bracket, oracle_cyb,
-                      oracle_half_alt_delta, oracle_jacobi_pass)
-from conftest import rand_antisym, rand_cocycle_array, rand_frac, rand_vector
+from _oracles import (bracket_delta, coad_a, coad_l, fzeros, oracle_ad_tensor,
+                      oracle_bracket, oracle_cyb, oracle_half_alt_delta,
+                      oracle_jacobi_pass)
+from conftest import (rand_antisym, rand_cocycle_array, rand_frac, rand_tensor,
+                      rand_vector)
+
+EHF = Tensor.from_alternating_entries(3, 3, [((0, 1, 2), 1)])   # e ^ h ^ f
 
 
 def e_h_f():
@@ -75,17 +79,17 @@ def test_check_jacobi_witness_is_actionable():
 def test_ad_multi_examples_and_oracle():
     g = sl2()
     e, h, f = e_h_f()
-    assert ad_multi(g, h.data, tensor_product(e, f)).is_zero()
-    assert ad_multi(LieAlgebra.abelian(3), h.data, tensor_product(e, f)).is_zero()
+    ef = np.multiply.outer(e.data, f.data)
+    assert not ad_tensor_components(g.c, h.data, ef).any()
+    assert not ad_tensor_components(LieAlgebra.abelian(3).c, h.data, ef).any()
     rng = random.Random(22)
-    from conftest import rand_tensor
     for _ in range(10):
         t = rand_tensor(rng, 3, 3)
         x = rand_vector(rng, 3)
-        got = ad_multi(g, x, t)
-        assert (got.data == oracle_ad_tensor(g.c, x, t.data)).all()
+        got = ad_tensor_components(g.c, x, t.data)
+        assert (got == oracle_ad_tensor(g.c, x, t.data)).all()
         # Leibniz commutes with antisymmetrization
-        assert ad_multi(g, x, alt(t)) == alt(got)
+        assert (ad_tensor_components(g.c, x, alt(t).data) == alt(Tensor(3, got)).data).all()
 
 
 def test_coad_a_defining_identity():
@@ -93,16 +97,16 @@ def test_coad_a_defining_identity():
     rng = random.Random(23)
     for _ in range(10):
         a, l = rand_vector(rng, 3), rand_vector(rng, 3)
-        out = coad_a(g, a, l)
+        out = coad_a(g.c, a, l)
         for b in range(3):
             eb = Tensor.basis(3, b).data
             assert out[b] == -np.tensordot(l, g.bracket(a, eb), axes=(0, 0))
     # sl2: coad_h(e*) = -2 e*
     h = Tensor.basis(3, 1).data
     estar = Tensor.basis(3, 0).data
-    assert (coad_a(g, h, estar) == -2 * Tensor.basis(3, 0).data).all()
+    assert (coad_a(g.c, h, estar) == -2 * Tensor.basis(3, 0).data).all()
     # abelian: zero
-    assert not coad_a(LieAlgebra.abelian(3), h, estar).any()
+    assert not coad_a(LieAlgebra.abelian(3).c, h, estar).any()
 
 
 def test_bracket_delta_and_coad_l():
@@ -111,24 +115,24 @@ def test_bracket_delta_and_coad_l():
     rng = random.Random(24)
     for _ in range(10):
         l, m, a = (rand_vector(rng, 3) for _ in range(3))
-        lm = bracket_delta(delta, l, m)
+        lm = bracket_delta(delta.d, l, m)
         # defining identity against every basis vector
         for i in range(3):
             pair = np.tensordot(l, np.tensordot(delta.d[i], m, axes=(1, 0)), axes=(0, 0))
             assert lm[i] == pair
         # antisymmetry from image antisymmetry
-        assert (lm == -bracket_delta(delta, m, l)).all()
+        assert (lm == -bracket_delta(delta.d, m, l)).all()
         # coad_l identity
-        cl = coad_l(delta, l, a)
+        cl = coad_l(delta.d, l, a)
         for i in range(3):
             ei = Tensor.basis(3, i).data
             assert np.tensordot(cl, ei, axes=(0, 0)) == -np.tensordot(
-                bracket_delta(delta, l, ei), a, axes=(0, 0))
+                bracket_delta(delta.d, l, ei), a, axes=(0, 0))
     # zero cocycle gives zero operations
     z = Cocycle.zero(sl2())
     l, m = rand_vector(rng, 3), rand_vector(rng, 3)
-    assert not bracket_delta(z, l, m).any()
-    assert not coad_l(z, l, m).any()
+    assert not bracket_delta(z.d, l, m).any()
+    assert not coad_l(z.d, l, m).any()
 
 
 def test_bracket_delta_catalog_component():
@@ -136,7 +140,7 @@ def test_bracket_delta_catalog_component():
     qb = sl2_coboundary_qb()
     estar = Tensor.basis(3, 0).data
     hstar = Tensor.basis(3, 1).data
-    lm = bracket_delta(qb.delta, estar, hstar)
+    lm = bracket_delta(qb.delta.d, estar, hstar)
     assert lm[0] == 1
 
 
@@ -168,13 +172,13 @@ def test_quasi_cojacobi_examples():
         qb = QuasiBialgebra(g, Cocycle.zero(g), phi)
         # the unique wedge-cube line of sl2 is invariant: ad_x phi = 0
         for i in range(3):
-            assert ad_multi(g, Tensor.basis(3, i).data, phi).is_zero()
+            assert not ad_tensor_components(g.c, Tensor.basis(3, i).data, phi.data).any()
         assert check_quasi_cojacobi(qb).ok
     # coboundary of e^f with phi = 0: passes because cyb(e^f) is invariant
     qb = sl2_coboundary_qb()
     r0 = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])
     for i in range(3):
-        assert ad_multi(g, Tensor.basis(3, i).data, cyb(g, r0)).is_zero()
+        assert not ad_tensor_components(g.c, Tensor.basis(3, i).data, cyb(g, r0).data).any()
     assert check_quasi_cojacobi(qb).ok
 
 
@@ -202,11 +206,10 @@ def test_pentagon_examples():
 
 def test_cyb_examples_and_oracle():
     g = sl2()
-    e, h, f = e_h_f()
     r = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])  # e ^ f
     got = cyb(g, r)
     assert (got.data == oracle_cyb(g.c, r.data)).all()
-    assert got == wedge_list([h, e, f])              # frozen regression value
+    assert got == -EHF                               # frozen regression value
     assert cyb(LieAlgebra.abelian(3), r).is_zero()
     g2 = aff1()
     r2 = Tensor.from_alternating_entries(2, 2, [((0, 1), 5)])
@@ -253,6 +256,5 @@ def test_half_alt_delta_oracle_and_tau_identity():
 
 def test_half_alt_delta_sl2_coboundary_value():
     qb = sl2_coboundary_qb()
-    e, h, f = e_h_f()
     r = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])
-    assert half_alt_delta(qb.delta, r) == Fraction(2) * wedge_list([e, h, f])
+    assert half_alt_delta(qb.delta, r) == Fraction(2) * EHF

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from quasilie.catalog import aff1, builtin, manin_quasi_triple, sl2, so3
-from quasilie.double import build_double, is_subalgebra, lagrangian_from_bivector
-from quasilie.homogeneous import HomDatum, is_quasi_poisson_datum
+from quasilie.double import build_double, is_subalgebra
+from quasilie.homogeneous import HomDatum, dirac_span, is_quasi_poisson_datum
 from quasilie.liealg import (Cocycle, LieAlgebra, QuasiBialgebra, axiom_report,
                              cyb, half_alt_delta)
 from quasilie.serialize import dumps_canonical
-from quasilie.tensor import Tensor, rzeros
-from quasilie.twisting import (certify_double_map, check_twist_iso,
-                               compose_twists, f_r_matrix, twist, twist_datum,
-                               twist_equations)
+from quasilie.subspace import Subspace
+from quasilie.tensor import Tensor, rarray, rzeros
+from quasilie.twisting import (certify_double_map, check_twist_iso, f_r_matrix,
+                               twist, twist_datum, twist_equations)
 
 from _oracles import oracle_twist_coefficients
 from conftest import (big_bivector, gl_trace_form, rand_antisym,
@@ -151,9 +151,8 @@ def test_compose_twists_reports_additivity():
         n = qb.dim
         for _ in range(10):
             r, s = rand_antisym(rng, n), rand_antisym(rng, n)
-            rep = compose_twists(qb, r, s)
-            assert rep.matrix_law
-            assert rep.delta_additive and rep.phi_additive
+            assert twist(twist(qb, r), s) == twist(qb, r + s)
+            assert (f_r_matrix(qb, s) @ f_r_matrix(qb, r) == f_r_matrix(qb, r + s)).all()
         # inverse twist recovers the source exactly
         r = rand_antisym(rng, n)
         assert twist(twist(qb, r), -r) == qb
@@ -174,6 +173,17 @@ def test_twist_datum_zero_and_roundtrip():
         assert back.qb == qb and back.h == d.h and back.r == d.r
 
 
+def assert_transported(d, r):
+    """f_r carries the Dirac span of d onto that of twist_datum(d, r), and
+    the verdict is unchanged; returns the verdict."""
+    old = is_quasi_poisson_datum(d)
+    moved = is_quasi_poisson_datum(twist_datum(d, r))
+    m = f_r_matrix(d.qb, r)
+    assert Subspace(2 * d.qb.dim, [m @ row for row in old.span.rows]) == moved.span
+    assert old.verdict == moved.verdict
+    return old.verdict
+
+
 def test_twist_datum_preserves_verdict():
     rng = random.Random(57)
     for name in ("sl2_coboundary", "manin_sl2_trace"):
@@ -181,13 +191,22 @@ def test_twist_datum_preserves_verdict():
         for _ in range(10):
             r = rand_antisym(rng, 3)
             h = rng.choice(entry.subalgebras)
-            d = HomDatum(entry.algebra, h, rand_antisym(rng, 3))
-            moved = twist_datum(d, r)
-            assert (is_quasi_poisson_datum(moved).verdict
-                    == is_quasi_poisson_datum(d).verdict)
+            assert_transported(HomDatum(entry.algebra, h, rand_antisym(rng, 3)), r)
         # the point datum stays valid under any twist
-        moved = twist_datum(entry.datums["point"], rand_antisym(rng, 3))
-        assert is_quasi_poisson_datum(moved).verdict
+        assert assert_transported(entry.datums["point"], rand_antisym(rng, 3))
+    # gl(2) Manin quasi-triple twisted by a big bivector b, on the basis
+    # (E00, E01, E10, E11): (h, -b) is the transport of (h, 0), which passes
+    # for h = gl(2) and fails for h = 0
+    b = big_bivector(rng, 4)
+    qb = twist(manin_quasi_triple(gl_trace_form(2)), b)
+    subs = [Subspace.zero(4), Subspace(4, rarray([[1, 0, 0, 0], [0, 0, 0, 1]])),
+            Subspace(4, rarray([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])),
+            Subspace.full(4)]
+    verdicts = set()
+    for h in subs:
+        for rd in (-b, big_bivector(rng, 4) - b):
+            verdicts.add(assert_transported(HomDatum(qb, h, rd), big_bivector(rng, 4)))
+    assert verdicts == {True, False}
 
 
 def test_twist_equations_trivial_systems():
@@ -215,19 +234,19 @@ def test_twist_equations_match_residual_evaluation():
             for value, (i, j, k) in zip(vals, system.triples):
                 assert value == res.data[i, j, k]
             # solving the equation is the same as the graph closing
-            closes = is_subalgebra(dbl, lagrangian_from_bivector(dbl, r)).ok
+            graph = dirac_span(HomDatum(qb, Subspace.zero(3), r))
+            closes = is_subalgebra(dbl, graph).ok
             assert (all(v == 0 for v in vals)) == res.is_zero() == closes
 
 
 def test_twist_equation_residual_at_frozen_point():
     # sl2 coboundary source, r = e^f: residual = 3 * (h wedge e wedge f)
-    from quasilie.tensor import wedge_list
     qb = builtin("sl2_coboundary").algebra
     system = twist_equations(qb)
     r = Tensor.from_alternating_entries(3, 2, [((0, 2), 1)])
-    e, h, f = (Tensor.basis(3, i) for i in range(3))
-    assert system.residual(r) == Fraction(3) * wedge_list([h, e, f])
-    assert system.evaluate(r)[0] == Fraction(3) * wedge_list([h, e, f]).data[0, 1, 2]
+    hef = Tensor.from_alternating_entries(3, 3, [((0, 1, 2), -1)])
+    assert system.residual(r) == Fraction(3) * hef
+    assert system.evaluate(r)[0] == -3
 
 
 def test_twist_equations_json_shape():
