@@ -2,7 +2,7 @@
 subalgebras, quasi-Poisson homogeneous data, and twisting."""
 
 from .tensor import Tensor, alt, apply_linear
-from .subspace import Subspace, annihilator, project_quotient
+from .subspace import Subspace, annihilator
 from .liealg import (Cocycle, LieAlgebra, QuasiBialgebra, Verdict, axiom_report,
                      check_cocycle, check_jacobi, check_pentagon,
                      check_quasi_cojacobi, closed_under_bracket, cyb,

@@ -22,7 +22,7 @@ from .double import certify_bracket_map, certify_form_map
 from .homogeneous import HomDatum
 from .liealg import (MAX_DIM, Cocycle, LieAlgebra, QuasiBialgebra, Verdict,
                      cyb_components, residual_verdict)
-from .subspace import Subspace, rref, solve_exact
+from .subspace import Subspace, annihilator, rref, solve_exact
 from .tensor import Tensor, ONE, as_rational, rarray, reye, rzeros, scaled, unscaled
 
 HALF = Fraction(1, 2)
@@ -173,9 +173,8 @@ def fixed_point_diagonal(a: np.ndarray) -> Subspace:
     """{(x, x) : Ax = x} as a subspace of g x g."""
     a = np.asarray(a, dtype=object)
     n = a.shape[0]
-    fixed = Subspace.kernel(a - reye(n))
-    rows = [np.concatenate([fixed.rows[i], fixed.rows[i]]) for i in range(fixed.dim)]
-    return Subspace(2 * n, rows)
+    fixed = annihilator(Subspace(n, a - reye(n)))
+    return Subspace(2 * n, np.hstack([fixed.rows, fixed.rows]))
 
 
 def graph_lagrangian(q: QuadraticLieAlgebra, a) -> Subspace:

@@ -45,7 +45,10 @@ def _load(path: str, reader):
 def _emit(args, obj: dict, code: int = PASS) -> int:
     text = serialize.dumps_canonical(obj)
     if args.json_out:
-        Path(args.json_out).write_text(text)
+        try:
+            Path(args.json_out).write_text(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.json_out, exc)) from None
     if not args.quiet:
         sys.stdout.write(text)
     return code

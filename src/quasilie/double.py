@@ -140,16 +140,10 @@ def bivector_from_lagrangian(dbl: DoubleAlgebra, sub: Subspace, h: Subspace) -> 
     if intersect_with_g(dbl, sub) != h:
         raise ValueError("L intersect g differs from h")
     n = dbl.n
-    m = h.quotient_matrix()
     free = [j for j in range(n) if j not in h.pivots]
-    # each basis row (u | w) of L gives the equation wbar . v = (m u)
-    wbar = rzeros((sub.dim, len(free)))
-    ubar = rzeros((sub.dim, len(free)))
-    for s in range(sub.dim):
-        u, w = sub.rows[s, :n], sub.rows[s, n:]
-        for a, f in enumerate(free):
-            wbar[s, a] = w[f]
-        ubar[s] = m @ u
+    # each basis row (u | w) of L gives the equation wbar . v = (q u)
+    wbar = sub.rows[:, n:][:, free]
+    ubar = sub.rows[:, :n] @ h.quotient_matrix().T
     v = solve_exact(wbar, ubar) if free else rzeros((0, 0))
     # antisymmetric because L is Lagrangian
     return Tensor(len(free), v, antisymmetric=True)

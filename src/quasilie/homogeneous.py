@@ -19,7 +19,7 @@ from .double import (DoubleAlgebra, build_double, intersect_with_g,
                      is_lagrangian, is_subalgebra)
 from .liealg import (QuasiBialgebra, Verdict, closed_under_bracket, cyb_components,
                      half_alt_delta_components, leibniz_components)
-from .subspace import Subspace, annihilator
+from .subspace import Subspace
 from .tensor import Tensor, push_components, rzeros, scaled, unscaled
 
 
@@ -49,17 +49,11 @@ def h_subalgebra(d: HomDatum) -> Verdict:
 
 def dirac_span(d: HomDatum) -> Subspace:
     """span{ l + R(l) : l in the annihilator of h } + h inside the double,
-    with R(l) = (l (x) id) r.  Defined for any subspace h."""
-    n = d.qb.dim
-    hp = annihilator(d.h)
-    rows = rzeros((hp.dim + d.h.dim, 2 * n))
-    for i in range(hp.dim):
-        l = hp.rows[i]
-        rows[i, :n] = l @ d.r.data
-        rows[i, n:] = l
-    for j in range(d.h.dim):
-        rows[hp.dim + j, :n] = d.h.rows[j]
-    return Subspace(2 * n, rows)
+    with R(l) = (l (x) id) r.  Defined for any subspace h; the rows of
+    the quotient matrix of h span its annihilator."""
+    q = d.h.quotient_matrix()
+    return Subspace(2 * d.qb.dim, np.block([[q @ d.r.data, q],
+                                            [d.h.rows, rzeros(d.h.rows.shape)]]))
 
 
 def obstruction(d: HomDatum) -> Tensor:

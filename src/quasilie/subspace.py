@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import Tensor, ONE, apply_linear, as_rational, reye, rzeros
+from .tensor import ONE, as_rational, reye, rzeros
 
 
 def rref(mat: np.ndarray):
@@ -71,64 +71,33 @@ class Subspace:
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, reye(ambient))
 
-    @classmethod
-    def kernel(cls, mat) -> "Subspace":
-        """Null space {x : mat @ x = 0}."""
-        mat = np.asarray(mat, dtype=object)
-        n = mat.shape[1]
-        if mat.shape[0] == 0:
-            return cls.full(n)
-        rows, pivots = rref(mat)
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = rzeros((n,))
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -rows[i, f]
-            basis.append(v)
-        return cls(n, basis)
-
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def basis(self):
-        return [self.rows[i].copy() for i in range(self.dim)]
-
     def reduce(self, vector: np.ndarray) -> np.ndarray:
         """Remainder of vector after elimination against the echelon basis."""
-        v = np.array(vector, dtype=object)
+        v = np.asarray(vector, dtype=object)
         if v.shape != (self.ambient,):
             raise ValueError("vector has wrong ambient dimension")
-        for i, p in enumerate(self.pivots):
-            if v[p]:
-                v = v - v[p] * self.rows[i]
-        return v
+        # the basis is in RREF, so removing each pivot coordinate times its
+        # row is the whole reduction
+        return v - v[list(self.pivots)] @ self.rows
 
     def member(self, vector) -> bool:
         return not self.reduce(vector).any()
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.ambient, np.vstack([self.rows, other.rows]))
-
-    __add__ = sum
-
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked system
-        [A^T | -B^T] (s; t) = 0."""
+        """Intersection as the annihilator of the sum of the two
+        annihilators, (A^perp + B^perp)^perp."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        stacked = np.hstack([self.rows.T, -other.rows.T])
-        coeffs = Subspace.kernel(stacked)
-        vecs = [coeffs.rows[i, :self.dim] @ self.rows for i in range(coeffs.dim)]
-        return Subspace(self.ambient, vecs)
+        return annihilator(Subspace(self.ambient, np.vstack(
+            [self.quotient_matrix(), other.quotient_matrix()])))
 
     def quotient_matrix(self) -> np.ndarray:
         """Matrix of the canonical surjection onto the quotient by this
-        subspace; quotient coordinates are the non-pivot coordinates."""
+        subspace; quotient coordinates are the non-pivot coordinates.  Its
+        rows are a basis of the annihilator of this subspace."""
         free = [j for j in range(self.ambient) if j not in self.pivots]
         m = rzeros((len(free), self.ambient))
         for a, f in enumerate(free):
@@ -156,14 +125,7 @@ class Subspace:
 
 def annihilator(s: Subspace) -> Subspace:
     """Covectors vanishing on s (same coordinates via the standard pairing)."""
-    return Subspace.kernel(s.rows) if s.dim else Subspace.full(s.ambient)
-
-
-def project_quotient(t: Tensor, h: Subspace) -> Tensor:
-    """Push a tensor over g through the canonical surjection g -> g/h."""
-    if h.ambient != t.dim:
-        raise ValueError("subspace ambient does not match tensor dimension")
-    return apply_linear(h.quotient_matrix(), t)
+    return Subspace(s.ambient, s.quotient_matrix())
 
 
 def solve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:

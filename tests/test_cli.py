@@ -270,13 +270,25 @@ def test_json_out_and_quiet(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
-def test_console_entry_point_subprocess():
+def run_subprocess(*argv):
     # the child imports the same quasilie as this process, installed or not
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quasilie.cli", "catalog", "aff1"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "quasilie.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [["validate", fixture("aff1.json")], ["catalog", "aff1"]])
+def test_unwritable_json_out_is_input_error(tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    proc = run_subprocess(argv[0], "--json-out", str(target), *argv[1:])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "input error: cannot write %s" % target in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_console_entry_point_subprocess():
+    proc = run_subprocess("catalog", "aff1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 2

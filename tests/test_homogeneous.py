@@ -10,8 +10,8 @@ from quasilie.homogeneous import (HomDatum, ad_stable_direct, dirac_span,
                                   stability_residuals)
 from quasilie.liealg import cyb, half_alt_delta
 from quasilie.serialize import verdict_to_dict
-from quasilie.subspace import Subspace, annihilator, project_quotient
-from quasilie.tensor import Tensor, rarray, reye
+from quasilie.subspace import Subspace, annihilator
+from quasilie.tensor import Tensor, apply_linear, rarray, reye
 
 from _oracles import oracle_pairing
 from conftest import rand_antisym, rand_frac, rand_vector
@@ -74,8 +74,8 @@ def test_obstruction_formula_against_parts():
         h = rng.choice(entry.subalgebras)
         r = rand_antisym(rng, 3)
         d = HomDatum(qb, h, r)
-        direct = project_quotient(
-            qb.phi - cyb(qb.algebra, r) + half_alt_delta(qb.delta, r), h)
+        direct = apply_linear(
+            h.quotient_matrix(), qb.phi - cyb(qb.algebra, r) + half_alt_delta(qb.delta, r))
         assert obstruction(d) == direct
 
 
@@ -213,7 +213,7 @@ def test_q_pairing_identity_on_annihilator_triples():
             for _ in range(3):
                 l = np.zeros((n,), dtype=object)
                 l[:] = Fraction(0)
-                for row in hp.basis():
+                for row in hp.rows:
                     l = l + rand_frac(rng) * row
                 ls.append(l)
             lifted = [dbl.embed_g(l @ r.data) + dbl.embed_dual(l) for l in ls]
